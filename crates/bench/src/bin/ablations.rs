@@ -15,28 +15,31 @@ use tbnet_bench::experiments::{pct, ModelKind, Scale};
 use tbnet_bench::table::TextTable;
 use tbnet_core::attack::direct_use_attack;
 use tbnet_core::pruning::{build_masks, composite_scores, prune_two_branch_once, total_channels};
-use tbnet_core::train::{train_victim, TrainConfig};
-use tbnet_core::transfer::{evaluate_two_branch, train_two_branch, TransferConfig};
+use tbnet_core::train::{train_victim_with_workers, TrainConfig};
+use tbnet_core::transfer::{evaluate_two_branch, train_two_branch_with_workers, TransferConfig};
 use tbnet_core::TwoBranchModel;
 use tbnet_data::{DatasetKind, SyntheticCifar};
 use tbnet_models::{vgg, ChainNet};
 use tbnet_tee::{simulate_baseline, simulate_two_branch, CostModel};
+use tbnet_tensor::par;
 
 fn fresh_model(scale: &Scale, data: &SyntheticCifar) -> TwoBranchModel {
     let spec = ModelKind::Vgg18.spec(data.train().classes());
     let mut rng = rand::rngs::StdRng::seed_from_u64(99);
     let mut victim = ChainNet::from_spec(&spec, &mut rng).expect("victim");
-    train_victim(
+    train_victim_with_workers(
         &mut victim,
         data.train(),
         &TrainConfig::paper_scaled(scale.victim_epochs),
+        1,
     )
     .expect("victim training");
     let mut tb = TwoBranchModel::from_victim(&victim, &mut rng).expect("two-branch");
-    train_two_branch(
+    train_two_branch_with_workers(
         &mut tb,
         data.train(),
         &TransferConfig::paper_scaled(scale.transfer_epochs),
+        par::max_threads(),
     )
     .expect("transfer");
     tb
@@ -50,10 +53,11 @@ fn prune_once_with(
 ) -> f32 {
     let masks = build_masks(tb, &scores, 0.2, 2).expect("masks");
     prune_two_branch_once(tb, &masks).expect("prune");
-    train_two_branch(
+    train_two_branch_with_workers(
         tb,
         data.train(),
         &TransferConfig::paper_scaled(scale.finetune_epochs.max(1)),
+        par::max_threads(),
     )
     .expect("fine-tune");
     evaluate_two_branch(tb, data.test()).expect("eval")
@@ -142,17 +146,19 @@ fn ablation_lambda(scale: &Scale, data: &SyntheticCifar) {
     for lambda in [0.0f32, 1e-5, 1e-4, 1e-3] {
         let mut rng = rand::rngs::StdRng::seed_from_u64(99);
         let mut victim = ChainNet::from_spec(&spec, &mut rng).expect("victim");
-        train_victim(
+        train_victim_with_workers(
             &mut victim,
             data.train(),
             &TrainConfig::paper_scaled(scale.victim_epochs),
+            1,
         )
         .expect("victim training");
         let mut tb = TwoBranchModel::from_victim(&victim, &mut rng).expect("two-branch");
-        let history = train_two_branch(
+        let history = train_two_branch_with_workers(
             &mut tb,
             data.train(),
             &TransferConfig::paper_scaled(scale.transfer_epochs).with_lambda(lambda),
+            par::max_threads(),
         )
         .expect("transfer");
         let report = tbnet_core::analysis::bn_weight_report(&tb, 10);

@@ -1,11 +1,11 @@
-//! Training-engine report: times the sequential reference loops against the
-//! generic data-parallel engine at W ∈ {1, 2, 4} workers for all four
-//! training phases — victim training, knowledge transfer, the pruning
-//! fine-tune and the attacker's fine-tune — on a paper-shaped workload, and
-//! writes `BENCH_train.json` at the repo root (or the path given as the
-//! first argument). Besides throughput, the report records the maximum
-//! per-epoch loss deviation from the sequential run — the determinism
-//! contract the parity tests pin at 1e-5 — and the worker count
+//! Training-engine report: times each training phase's single entry point
+//! — victim training, knowledge transfer, the pruning fine-tune and the
+//! attacker's fine-tune — at W ∈ {1, 2, 4} workers on a paper-shaped
+//! workload, and writes `BENCH_train.json` at the repo root (or the path
+//! given as the first argument). Besides throughput and the speedup over
+//! W = 1, the report records the maximum per-epoch loss deviation from the
+//! W = 1 run — one worker is the sequential loop bit for bit, and the
+//! parity suites pin the deviation at 1e-5 — and the worker count
 //! `WorkerPolicy::Auto` resolves to for each phase on this host.
 //!
 //! Run with `cargo run --release -p tbnet-bench --bin train`.
@@ -16,13 +16,10 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::Serialize;
 
-use tbnet_core::attack::{attack_seq, attack_with_workers};
-use tbnet_core::dp_train::{clear_autotune_cache, train_victim_dp, DpTrainable, WorkerPolicy};
+use tbnet_core::dp_train::{clear_autotune_cache, DpTrainable, WorkerPolicy};
 use tbnet_core::pruning::{build_masks, composite_scores, prune_two_branch_once};
-use tbnet_core::train::{train_victim, EpochStats, TrainConfig};
-use tbnet_core::transfer::{
-    train_two_branch_seq, train_two_branch_with_workers, TransferConfig, TransferEpoch,
-};
+use tbnet_core::train::{train_victim_with_workers, TrainConfig};
+use tbnet_core::transfer::{train_two_branch_with_workers, TransferConfig};
 use tbnet_core::TwoBranchModel;
 use tbnet_data::{DatasetKind, ImageDataset, SyntheticCifar};
 use tbnet_models::{vgg, ChainNet};
@@ -36,7 +33,7 @@ struct TrainResult {
     workers: usize,
     seconds: f64,
     samples_per_sec: f64,
-    speedup_vs_sequential: f64,
+    speedup_vs_w1: f64,
     max_epoch_loss_delta: f32,
     final_loss: f32,
 }
@@ -61,13 +58,6 @@ struct TrainReport {
     results: Vec<TrainResult>,
 }
 
-fn max_ce_delta(a: &[TransferEpoch], b: &[TransferEpoch]) -> f32 {
-    a.iter()
-        .zip(b)
-        .map(|(x, y)| (x.ce_loss - y.ce_loss).abs())
-        .fold(0.0f32, f32::max)
-}
-
 /// Resolves `WorkerPolicy::Auto` for one phase and records the commitment.
 fn auto_choice<M: DpTrainable>(
     phase: &str,
@@ -87,53 +77,38 @@ fn auto_choice<M: DpTrainable>(
     }
 }
 
-/// Times a sequential `ChainNet` training loop against the data-parallel
-/// engine at W ∈ {1, 2, 4} from identical initial state, appending one row
-/// per run (the victim and attack phases share this shape).
-fn bench_chain_phase(
+/// Times one phase's entry point at W ∈ {1, 2, 4} from identical initial
+/// state, appending one row per run. `train` runs the phase at the given
+/// worker count and returns its per-epoch losses. Returns the W = 1 model,
+/// which later phases start from.
+fn bench_phase<M: Clone>(
     phase: &str,
-    net0: &ChainNet,
-    data: &ImageDataset,
-    cfg: &TrainConfig,
-    seq: impl Fn(&mut ChainNet) -> Vec<EpochStats>,
-    dp: impl Fn(&mut ChainNet, usize) -> Vec<EpochStats>,
+    model0: &M,
+    samples: usize,
+    train: impl Fn(&mut M, usize) -> Vec<f32>,
     results: &mut Vec<TrainResult>,
-) -> ChainNet {
-    let samples = data.len() * cfg.epochs;
-    let t0 = Instant::now();
-    let mut seq_net = net0.clone();
-    let seq_hist = seq(&mut seq_net);
-    let seq_secs = t0.elapsed().as_secs_f64();
-    println!(
-        "{phase:9} sequential         {seq_secs:7.2} s | {:8.1} samples/s | final loss {:.4}",
-        samples as f64 / seq_secs,
-        seq_hist.last().unwrap().train_loss
-    );
-    results.push(TrainResult {
-        phase: phase.to_string(),
-        engine: "sequential".into(),
-        workers: 1,
-        seconds: seq_secs,
-        samples_per_sec: samples as f64 / seq_secs,
-        speedup_vs_sequential: 1.0,
-        max_epoch_loss_delta: 0.0,
-        final_loss: seq_hist.last().unwrap().train_loss,
-    });
-
+) -> M {
+    // Untimed warm-up run: absorbs pool spin-up and scratch-arena growth
+    // for this phase's shapes, so the first timed row is not the cold one.
+    train(&mut model0.clone(), 1);
+    let mut w1: Option<(f64, Vec<f32>, M)> = None;
     for workers in [1usize, 2, 4] {
         let t0 = Instant::now();
-        let mut dp_net = net0.clone();
-        let hist = dp(&mut dp_net, workers);
+        let mut model = model0.clone();
+        let losses = train(&mut model, workers);
         let secs = t0.elapsed().as_secs_f64();
-        let delta = seq_hist
+        let (w1_secs, w1_losses, _) =
+            w1.get_or_insert_with(|| (secs, losses.clone(), model.clone()));
+        let delta = w1_losses
             .iter()
-            .zip(&hist)
-            .map(|(x, y)| (x.train_loss - y.train_loss).abs())
+            .zip(&losses)
+            .map(|(a, b)| (a - b).abs())
             .fold(0.0f32, f32::max);
+        let final_loss = *losses.last().expect("at least one epoch");
         println!(
-            "{phase:9} data-parallel W={workers} {secs:7.2} s | {:8.1} samples/s | {:.2}x | max loss Δ {delta:.2e}",
+            "{phase:9} W={workers} {secs:7.2} s | {:8.1} samples/s | {:.2}x vs W=1 | final loss {final_loss:.4} | max loss Δ {delta:.2e}",
             samples as f64 / secs,
-            seq_secs / secs
+            *w1_secs / secs
         );
         results.push(TrainResult {
             phase: phase.to_string(),
@@ -141,69 +116,12 @@ fn bench_chain_phase(
             workers,
             seconds: secs,
             samples_per_sec: samples as f64 / secs,
-            speedup_vs_sequential: seq_secs / secs,
+            speedup_vs_w1: *w1_secs / secs,
             max_epoch_loss_delta: delta,
-            final_loss: hist.last().unwrap().train_loss,
+            final_loss,
         });
     }
-    seq_net
-}
-
-/// Times the sequential transfer loop and the data-parallel engine at
-/// W ∈ {1, 2, 4} from identical initial state, appending one row per run.
-fn bench_two_branch_phase(
-    phase: &str,
-    model0: &TwoBranchModel,
-    data: &ImageDataset,
-    cfg: &TransferConfig,
-    results: &mut Vec<TrainResult>,
-) -> TwoBranchModel {
-    let samples = data.len() * cfg.epochs;
-    let t0 = Instant::now();
-    let mut seq_model = model0.clone();
-    let seq_hist =
-        train_two_branch_seq(&mut seq_model, data, cfg).expect("sequential two-branch training");
-    let seq_secs = t0.elapsed().as_secs_f64();
-    println!(
-        "{phase:9} sequential         {seq_secs:7.2} s | {:8.1} samples/s | final ce {:.4}",
-        samples as f64 / seq_secs,
-        seq_hist.last().unwrap().ce_loss
-    );
-    results.push(TrainResult {
-        phase: phase.to_string(),
-        engine: "sequential".into(),
-        workers: 1,
-        seconds: seq_secs,
-        samples_per_sec: samples as f64 / seq_secs,
-        speedup_vs_sequential: 1.0,
-        max_epoch_loss_delta: 0.0,
-        final_loss: seq_hist.last().unwrap().ce_loss,
-    });
-
-    for workers in [1usize, 2, 4] {
-        let t0 = Instant::now();
-        let mut dp_model = model0.clone();
-        let hist = train_two_branch_with_workers(&mut dp_model, data, cfg, workers)
-            .expect("dp two-branch training");
-        let secs = t0.elapsed().as_secs_f64();
-        let delta = max_ce_delta(&seq_hist, &hist);
-        println!(
-            "{phase:9} data-parallel W={workers} {secs:7.2} s | {:8.1} samples/s | {:.2}x | max ce Δ {delta:.2e}",
-            samples as f64 / secs,
-            seq_secs / secs
-        );
-        results.push(TrainResult {
-            phase: phase.to_string(),
-            engine: "data-parallel".into(),
-            workers,
-            seconds: secs,
-            samples_per_sec: samples as f64 / secs,
-            speedup_vs_sequential: seq_secs / secs,
-            max_epoch_loss_delta: delta,
-            final_loss: hist.last().unwrap().ce_loss,
-        });
-    }
-    seq_model
+    w1.expect("the W = 1 run comes first").2
 }
 
 fn main() {
@@ -231,6 +149,15 @@ fn main() {
     let mut results = Vec::new();
     let mut auto = Vec::new();
 
+    let samples = data.train().len() * cfg.epochs;
+    let victim_losses = |net: &mut ChainNet, w: usize| {
+        train_victim_with_workers(net, data.train(), &cfg, w)
+            .expect("victim training")
+            .iter()
+            .map(|e| e.train_loss)
+            .collect::<Vec<f32>>()
+    };
+
     // Phase ⓪ — victim training.
     auto.push(auto_choice(
         "victim",
@@ -239,23 +166,22 @@ fn main() {
         cfg.batch_size,
         0.0,
     ));
-    let seq_net = bench_chain_phase(
-        "victim",
-        &net0,
-        data.train(),
-        &cfg,
-        |net| train_victim(net, data.train(), &cfg).expect("sequential training"),
-        |net, w| train_victim_dp(net, data.train(), &cfg, w).expect("dp training"),
-        &mut results,
-    );
+    let victim = bench_phase("victim", &net0, samples, victim_losses, &mut results);
 
     // Phase ② — knowledge transfer over the two-branch model (roughly 2×
     // the victim's work per sample: both branches train).
-    let tb0 = TwoBranchModel::from_victim(&seq_net, &mut rng).expect("two-branch init");
+    let tb0 = TwoBranchModel::from_victim(&victim, &mut rng).expect("two-branch init");
     let tcfg = TransferConfig {
         epochs: 2,
         batch_size: 32,
         ..TransferConfig::paper_scaled(2)
+    };
+    let transfer_losses = |model: &mut TwoBranchModel, w: usize| {
+        train_two_branch_with_workers(model, data.train(), &tcfg, w)
+            .expect("two-branch training")
+            .iter()
+            .map(|e| e.ce_loss)
+            .collect::<Vec<f32>>()
     };
     auto.push(auto_choice(
         "transfer",
@@ -264,15 +190,16 @@ fn main() {
         tcfg.batch_size,
         tcfg.lambda,
     ));
-    let transferred = bench_two_branch_phase("transfer", &tb0, data.train(), &tcfg, &mut results);
+    let transferred = bench_phase("transfer", &tb0, samples, transfer_losses, &mut results);
 
-    // The attacker's fine-tune — a ChainNet training of the stolen M_R —
-    // rides the same engine; timed here on the full training set.
+    // The attacker's fine-tune — a ChainNet training of the stolen M_R
+    // through the victim entry point — timed below on the full training
+    // set.
     let stolen0 = transferred.extract_unsecured_branch();
 
     // Phases ③–⑤ — the pruning fine-tune: one composite-weight pruning
-    // iteration, then the same engine on the narrowed model (mask-preserving
-    // steps).
+    // iteration, then the transfer entry point on the narrowed model
+    // (mask-preserving steps).
     let scores = composite_scores(&transferred).expect("composite scores");
     let masks = build_masks(&transferred, &scores, 0.25, 2).expect("masks");
     let mut pruned = transferred;
@@ -284,7 +211,7 @@ fn main() {
         tcfg.batch_size,
         tcfg.lambda,
     ));
-    bench_two_branch_phase("finetune", &pruned, data.train(), &tcfg, &mut results);
+    bench_phase("finetune", &pruned, samples, transfer_losses, &mut results);
 
     // Attack phase (paper Fig. 2's attacker at 100% data availability).
     auto.push(auto_choice(
@@ -294,15 +221,7 @@ fn main() {
         cfg.batch_size,
         0.0,
     ));
-    bench_chain_phase(
-        "attack",
-        &stolen0,
-        data.train(),
-        &cfg,
-        |net| attack_seq(net, data.train(), &cfg).expect("sequential attack fine-tune"),
-        |net, w| attack_with_workers(net, data.train(), &cfg, w).expect("dp attack fine-tune"),
-        &mut results,
-    );
+    bench_phase("attack", &stolen0, samples, victim_losses, &mut results);
 
     // The phase probes above warmed the autotune cache; drop it so a rerun
     // of the binary in the same process (tests) re-measures.
@@ -317,12 +236,14 @@ fn main() {
         train_samples: data.train().len(),
         note: "wall clock per full training run, for all four phases \
                (victim / transfer / fine-tune on a pruned model / attacker \
-               fine-tune of the stolen branch); every phase rides the \
-               generic data-parallel engine, which shards each minibatch \
-               across model replicas with synchronized BatchNorm \
-               statistics, so max_epoch_loss_delta stays within f32 \
-               rounding of the sequential loss curve. auto_workers records \
-               what WorkerPolicy::Auto resolved to per phase on this host. \
+               fine-tune of the stolen branch), each through its single \
+               entry point on the generic data-parallel engine, which \
+               shards each minibatch across model replicas with \
+               synchronized BatchNorm statistics. W = 1 is the sequential \
+               loop bit for bit, so speedup_vs_w1 and \
+               max_epoch_loss_delta are measured against it; the delta \
+               stays within f32 rounding. auto_workers records what \
+               WorkerPolicy::Auto resolved to per phase on this host. \
                Speedups require multiple cores (threads=1 shows sync \
                overhead only)."
             .to_string(),

@@ -2,10 +2,12 @@
 //! individual binaries and by `bin/all`.
 
 use tbnet_core::analysis::bn_weight_report;
-use tbnet_core::attack::{fine_tune_attack, retrain_secure_branch_alone};
+use tbnet_core::attack::{fine_tune_attack_with_workers, retrain_secure_branch_alone};
 use tbnet_core::deploy::DeploymentPlan;
+use tbnet_core::dp_train::WorkerPolicy;
 use tbnet_core::pruning::total_channels;
-use tbnet_core::transfer::train_two_branch;
+use tbnet_core::train::{train_victim_with_workers, TrainConfig};
+use tbnet_core::transfer::{train_two_branch_with_workers, TransferConfig};
 use tbnet_core::TwoBranchModel;
 use tbnet_data::{DatasetKind, SyntheticCifar};
 use tbnet_models::ChainNet;
@@ -167,12 +169,13 @@ pub fn report_fig2(scenarios: &[Scenario], scale: &Scale) -> String {
     for s in scenarios.iter().filter(|s| s.model == ModelKind::Vgg18) {
         let mut t = TextTable::new(&["Data fraction", "Samples", "Attacker %", "TBNet %"]);
         for &frac in &scale.fractions {
-            let o = fine_tune_attack(
+            let o = fine_tune_attack_with_workers(
                 &s.artifacts.model,
                 s.data.train(),
                 s.data.test(),
                 frac,
                 &scale.attack_config(),
+                WorkerPolicy::Auto,
             )
             .expect("fine-tune attack failed");
             t.row(&[
@@ -240,17 +243,19 @@ pub fn run_transfer_only(
     let spec = model.spec(data.train().classes());
     let mut rng = rand::rngs::StdRng::seed_from_u64(2024);
     let mut victim = ChainNet::from_spec(&spec, &mut rng).expect("victim construction");
-    tbnet_core::train::train_victim(
+    train_victim_with_workers(
         &mut victim,
         data.train(),
-        &tbnet_core::train::TrainConfig::paper_scaled(scale.victim_epochs),
+        &TrainConfig::paper_scaled(scale.victim_epochs),
+        1,
     )
     .expect("victim training");
     let mut tb = TwoBranchModel::from_victim(&victim, &mut rng).expect("two-branch init");
-    train_two_branch(
+    train_two_branch_with_workers(
         &mut tb,
         data.train(),
-        &tbnet_core::transfer::TransferConfig::paper_scaled(scale.transfer_epochs),
+        &TransferConfig::paper_scaled(scale.transfer_epochs),
+        tbnet_tensor::par::max_threads(),
     )
     .expect("knowledge transfer");
     (tb, data)

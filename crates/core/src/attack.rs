@@ -6,31 +6,30 @@
 //!
 //! * [`direct_use_attack`] — transplant `M_R` and use it as-is (Table 1's
 //!   "Attack Acc.");
-//! * [`fine_tune_attack`] — retrain the stolen `M_R` with a fraction of the
-//!   training data (Fig. 2);
+//! * [`fine_tune_attack_with_workers`] — retrain the stolen `M_R` with a
+//!   fraction of the training data (Fig. 2);
 //! * [`retrain_secure_branch_alone`] — the defender-side ablation of §5.1 /
 //!   Table 2: how good can `M_T` get without `M_R`?
 //!
 //! The attacker's fine-tune is a plain [`ChainNet`] classifier training, so
-//! it rides the same unified data-parallel engine
-//! ([`crate::dp_train::DataParallelTrainer`]) as the defender's three
-//! pipeline phases: [`attack_with_workers`] is the engine-routed training
-//! loop (worker count chosen by a [`WorkerPolicy`], default autotuned), and
-//! [`attack_seq`] keeps the sequential loop as the arithmetic reference the
-//! parity suite (`tests/attack_parity.rs`) pins the engine against —
+//! it goes through the victim entry point
+//! ([`crate::train::train_victim_with_workers`]) on the same data-parallel
+//! engine as the defender's three pipeline phases. The parity suite
+//! (`tests/attack_parity.rs`) pins it against the sequential reference:
 //! W ∈ {1, 2, 4} loss curves, final weights and BatchNorm running
 //! statistics agree within 1e-5, W = 1 bit-identically.
 //!
 //! [`ChainNet`]: tbnet_models::ChainNet
 
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 use tbnet_data::ImageDataset;
-use tbnet_models::ChainNet;
 use tbnet_nn::optim::Sgd;
 
-use crate::dp_train::{train_victim_dp, WorkerPolicy};
-use crate::train::{evaluate, train_victim, EpochStats, TrainConfig};
+use crate::dp_train::WorkerPolicy;
+use crate::train::{evaluate, train_victim_with_workers, TrainConfig};
 use crate::{Result, TwoBranchModel};
 
 /// Outcome of a fine-tuning attack.
@@ -45,72 +44,6 @@ pub struct FineTuneOutcome {
     /// Data-parallel worker count the fine-tune resolved to (1 when the
     /// attacker had no data to train on).
     pub workers: usize,
-}
-
-/// The attacker's fine-tune loop, routed through the unified data-parallel
-/// engine: shards every minibatch across the resolved number of `stolen`
-/// replicas with synchronized BatchNorm statistics and a deterministic
-/// left-to-right gradient merge. A plain `usize` converts to
-/// [`WorkerPolicy::Fixed`]; [`WorkerPolicy::Auto`] autotunes from the
-/// stolen branch's live widths plus a memoized step-timing probe.
-///
-/// Unlike [`crate::train::train_victim_with_workers`], a resolved count of
-/// one still runs *through the engine* (a single whole-batch shard), which
-/// is bit-identical to [`attack_seq`] — the parity suite measures this —
-/// so every attack run exercises the exact code path that scales.
-///
-/// # Examples
-///
-/// ```no_run
-/// use tbnet_core::attack::attack_with_workers;
-/// use tbnet_core::dp_train::WorkerPolicy;
-/// use tbnet_core::train::TrainConfig;
-/// # fn demo(
-/// #     model: &tbnet_core::TwoBranchModel,
-/// #     data: &tbnet_data::ImageDataset,
-/// # ) -> tbnet_core::Result<()> {
-/// let mut stolen = model.extract_unsecured_branch();
-/// let history = attack_with_workers(
-///     &mut stolen,
-///     data,
-///     &TrainConfig::paper_scaled(4),
-///     WorkerPolicy::Auto,
-/// )?;
-/// assert!(!history.is_empty());
-/// # Ok(())
-/// # }
-/// ```
-///
-/// # Errors
-///
-/// Returns configuration or shape errors.
-pub fn attack_with_workers(
-    stolen: &mut ChainNet,
-    data: &ImageDataset,
-    cfg: &TrainConfig,
-    workers: impl Into<WorkerPolicy>,
-) -> Result<Vec<EpochStats>> {
-    let sgd = Sgd::new(cfg.lr, cfg.momentum, cfg.weight_decay)?;
-    let workers = workers
-        .into()
-        .resolve(stolen, data, cfg.batch_size, &sgd, 0.0)?;
-    train_victim_dp(stolen, data, cfg, workers)
-}
-
-/// The plain sequential attacker fine-tune loop — the arithmetic reference
-/// the parity suite (`tests/attack_parity.rs`) pins
-/// [`attack_with_workers`] against. Prefer the engine-routed entry point
-/// everywhere else.
-///
-/// # Errors
-///
-/// Returns configuration or shape errors.
-pub fn attack_seq(
-    stolen: &mut ChainNet,
-    data: &ImageDataset,
-    cfg: &TrainConfig,
-) -> Result<Vec<EpochStats>> {
-    train_victim(stolen, data, cfg)
 }
 
 /// Table 1's "Attack Acc.": the attacker extracts `M_R` from REE memory and
@@ -129,26 +62,34 @@ pub fn direct_use_attack(model: &TwoBranchModel, test: &ImageDataset) -> Result<
 }
 
 /// Fig. 2's attacker: extract `M_R`, then fine-tune all of it (classifier
-/// included) on `data_fraction` of the training set. Routes through the
-/// unified data-parallel engine with an autotuned worker count — exactly
-/// [`fine_tune_attack_with_workers`] at [`WorkerPolicy::Auto`].
-///
-/// # Errors
-///
-/// Returns configuration or shape errors.
-pub fn fine_tune_attack(
-    model: &TwoBranchModel,
-    train: &ImageDataset,
-    test: &ImageDataset,
-    data_fraction: f64,
-    cfg: &TrainConfig,
-) -> Result<FineTuneOutcome> {
-    fine_tune_attack_with_workers(model, train, test, data_fraction, cfg, WorkerPolicy::Auto)
-}
-
-/// [`fine_tune_attack`] under an explicit [`WorkerPolicy`]: the stolen
-/// branch trains through [`attack_with_workers`], and the resolved worker
+/// included) on `data_fraction` of the training set. The stolen branch
+/// trains through [`train_victim_with_workers`] under `workers` (a plain
+/// `usize` converts to [`WorkerPolicy::Fixed`]; [`WorkerPolicy::Auto`]
+/// autotunes from the stolen branch's live widths), and the resolved worker
 /// count is recorded in [`FineTuneOutcome::workers`].
+///
+/// # Examples
+///
+/// ```no_run
+/// use tbnet_core::attack::fine_tune_attack_with_workers;
+/// use tbnet_core::dp_train::WorkerPolicy;
+/// use tbnet_core::train::TrainConfig;
+/// # fn demo(
+/// #     model: &tbnet_core::TwoBranchModel,
+/// #     data: &tbnet_data::SyntheticCifar,
+/// # ) -> tbnet_core::Result<()> {
+/// let outcome = fine_tune_attack_with_workers(
+///     model,
+///     data.train(),
+///     data.test(),
+///     0.5,
+///     &TrainConfig::paper_scaled(4),
+///     WorkerPolicy::Auto,
+/// )?;
+/// assert!(outcome.workers >= 1);
+/// # Ok(())
+/// # }
+/// ```
 ///
 /// # Errors
 ///
@@ -162,7 +103,7 @@ pub fn fine_tune_attack_with_workers(
     workers: impl Into<WorkerPolicy>,
 ) -> Result<FineTuneOutcome> {
     let mut stolen = model.extract_unsecured_branch();
-    let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(cfg.seed ^ 0x5eed_a77a);
+    let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x5eed_a77a);
     let subset = train.stratified_fraction(data_fraction, &mut rng);
     let samples_used = subset.len();
     let mut resolved = 1;
@@ -171,7 +112,7 @@ pub fn fine_tune_attack_with_workers(
         resolved = workers
             .into()
             .resolve(&stolen, &subset, cfg.batch_size, &sgd, 0.0)?;
-        attack_with_workers(&mut stolen, &subset, cfg, resolved)?;
+        train_victim_with_workers(&mut stolen, &subset, cfg, resolved)?;
     }
     let accuracy = evaluate(&mut stolen, test)?;
     Ok(FineTuneOutcome {
@@ -179,36 +120,6 @@ pub fn fine_tune_attack_with_workers(
         samples_used,
         accuracy,
         workers: resolved,
-    })
-}
-
-/// The sequential-reference variant of [`fine_tune_attack`] (stolen branch
-/// trained with [`attack_seq`]); exists so end-to-end attack outcomes can
-/// be pinned against the engine-routed path.
-///
-/// # Errors
-///
-/// Returns configuration or shape errors.
-pub fn fine_tune_attack_seq(
-    model: &TwoBranchModel,
-    train: &ImageDataset,
-    test: &ImageDataset,
-    data_fraction: f64,
-    cfg: &TrainConfig,
-) -> Result<FineTuneOutcome> {
-    let mut stolen = model.extract_unsecured_branch();
-    let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(cfg.seed ^ 0x5eed_a77a);
-    let subset = train.stratified_fraction(data_fraction, &mut rng);
-    let samples_used = subset.len();
-    if !subset.is_empty() {
-        attack_seq(&mut stolen, &subset, cfg)?;
-    }
-    let accuracy = evaluate(&mut stolen, test)?;
-    Ok(FineTuneOutcome {
-        data_fraction,
-        samples_used,
-        accuracy,
-        workers: 1,
     })
 }
 
@@ -229,20 +140,36 @@ pub fn retrain_secure_branch_alone(
     cfg: &TrainConfig,
 ) -> Result<f32> {
     let mut alone = model.mt().clone();
-    attack_with_workers(&mut alone, train, cfg, WorkerPolicy::Auto)?;
+    train_victim_with_workers(&mut alone, train, cfg, WorkerPolicy::Auto)?;
     evaluate(&mut alone, test)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
     use tbnet_data::{DatasetKind, SyntheticCifar};
     use tbnet_models::vgg;
     use tbnet_models::ChainNet as Net;
+    use tbnet_tensor::par;
 
-    use crate::transfer::{evaluate_two_branch, train_two_branch, TransferConfig};
+    use crate::transfer::{evaluate_two_branch, train_two_branch_with_workers, TransferConfig};
+
+    fn auto_attack(
+        tb: &TwoBranchModel,
+        data: &SyntheticCifar,
+        data_fraction: f64,
+        cfg: &TrainConfig,
+    ) -> FineTuneOutcome {
+        fine_tune_attack_with_workers(
+            tb,
+            data.train(),
+            data.test(),
+            data_fraction,
+            cfg,
+            WorkerPolicy::Auto,
+        )
+        .unwrap()
+    }
 
     fn setup() -> (TwoBranchModel, SyntheticCifar) {
         let mut rng = StdRng::seed_from_u64(0);
@@ -258,7 +185,13 @@ mod tests {
         let spec = vgg::vgg_from_stages("v", &[(8, 1), (8, 1)], 4, 3, (8, 8));
         let victim = Net::from_spec(&spec, &mut rng).unwrap();
         let mut tb = TwoBranchModel::from_victim(&victim, &mut rng).unwrap();
-        train_two_branch(&mut tb, data.train(), &TransferConfig::paper_scaled(6)).unwrap();
+        train_two_branch_with_workers(
+            &mut tb,
+            data.train(),
+            &TransferConfig::paper_scaled(6),
+            par::max_threads(),
+        )
+        .unwrap();
         (tb, data)
     }
 
@@ -280,8 +213,8 @@ mod tests {
             epochs: 4,
             ..TrainConfig::paper_scaled(4)
         };
-        let small = fine_tune_attack(&tb, data.train(), data.test(), 0.1, &cfg).unwrap();
-        let large = fine_tune_attack(&tb, data.train(), data.test(), 1.0, &cfg).unwrap();
+        let small = auto_attack(&tb, &data, 0.1, &cfg);
+        let large = auto_attack(&tb, &data, 1.0, &cfg);
         assert!(small.samples_used < large.samples_used);
         assert_eq!(large.samples_used, data.train().len());
         // More data should not hurt (tolerate small-sample noise).
@@ -292,7 +225,7 @@ mod tests {
     fn zero_fraction_means_direct_use() {
         let (tb, data) = setup();
         let cfg = TrainConfig::paper_scaled(2);
-        let out = fine_tune_attack(&tb, data.train(), data.test(), 0.0, &cfg).unwrap();
+        let out = auto_attack(&tb, &data, 0.0, &cfg);
         assert_eq!(out.samples_used, 0);
         let direct = direct_use_attack(&tb, data.test()).unwrap();
         assert!((out.accuracy - direct).abs() < 1e-6);
@@ -303,7 +236,7 @@ mod tests {
         let (tb, data) = setup();
         let before = tb.mr().units()[0].conv().weight().value.clone();
         let cfg = TrainConfig::paper_scaled(2);
-        fine_tune_attack(&tb, data.train(), data.test(), 0.5, &cfg).unwrap();
+        auto_attack(&tb, &data, 0.5, &cfg);
         assert_eq!(
             tb.mr().units()[0].conv().weight().value.as_slice(),
             before.as_slice()

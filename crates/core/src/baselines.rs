@@ -27,7 +27,7 @@ use tbnet_models::{ChainNet, ModelSpec};
 use tbnet_nn::{Layer, Mode};
 use tbnet_tee::{simulate_partition, CostModel, LatencyReport, MemoryReport};
 
-use crate::train::{evaluate, train_victim, TrainConfig};
+use crate::train::{evaluate, train_victim_with_workers, TrainConfig};
 use crate::{CoreError, Result};
 
 /// A DarkneTZ-style deployment: victim units `..split` in the REE
@@ -174,7 +174,7 @@ pub fn substitute_model_attack(
     let mut init_rng = StdRng::seed_from_u64(cfg.seed ^ 0x50b0);
     reinitialize_tail(&mut substitute, partition.split, &mut init_rng);
     if !query_set.is_empty() {
-        train_victim(&mut substitute, &query_set, cfg)?;
+        train_victim_with_workers(&mut substitute, &query_set, cfg, 1)?;
     }
     let accuracy = evaluate(&mut substitute, test)?;
     Ok(SubstituteAttackOutcome {
@@ -235,7 +235,8 @@ mod tests {
         let spec = vgg::vgg_from_stages("v", &[(8, 1), (8, 1), (8, 1)], 4, 3, (8, 8));
         let mut rng = StdRng::seed_from_u64(0);
         let mut victim = ChainNet::from_spec(&spec, &mut rng).unwrap();
-        train_victim(&mut victim, data.train(), &TrainConfig::paper_scaled(6)).unwrap();
+        train_victim_with_workers(&mut victim, data.train(), &TrainConfig::paper_scaled(6), 1)
+            .unwrap();
         (victim, data)
     }
 

@@ -32,16 +32,24 @@
 //! term) to the *merged* gradient, and all replicas take the *same*
 //! optimizer step — replicas therefore stay numerically identical, replica
 //! 0 is canonical, and a `W`-worker step matches the sequential step to f32
-//! rounding (the parity suites pin 1e-5).
+//! rounding (the parity suites pin 1e-5, and `W = 1` bit for bit).
 //!
-//! Four trainings ride this engine: victim training ([`train_victim_dp`]
-//! here), knowledge transfer ([`crate::transfer::train_two_branch`]), the
-//! pruning fine-tune loop
-//! ([`crate::pruning::iterative_prune_with_workers`]) and the attacker's
-//! fine-tuning attack ([`crate::attack::attack_with_workers`]) — transfer
-//! and fine-tune via the [`crate::TwoBranchModel`] implementation of
+//! Four trainings ride this engine, each through one public entry point
+//! that is a thin call into the crate-private epoch loop `fit`: victim
+//! training ([`crate::train::train_victim_with_workers`]), knowledge
+//! transfer ([`crate::transfer::train_two_branch_with_workers`]), the
+//! pruning fine-tune ([`crate::pruning::iterative_prune_with_workers`]) and
+//! the attacker's fine-tune
+//! ([`crate::attack::fine_tune_attack_with_workers`], a `ChainNet`
+//! classifier training through the victim entry point) — transfer and
+//! fine-tune via the [`crate::TwoBranchModel`] implementation of
 //! [`DpTrainable`] in `two_branch.rs`, the other two via the [`ChainNet`]
-//! implementation below.
+//! implementation below. `fit` owns the one epoch loop (step-decayed
+//! learning rate, seeded minibatch shuffling, one
+//! [`DataParallelTrainer::step_with_penalty`] per minibatch, per-epoch
+//! means). There is no separate sequential loop: `W = 1` is the engine at
+//! one whole-batch shard, and the sequential reference it is pinned
+//! against lives in the test tree (`tests/common`).
 //!
 //! Worker counts are chosen per phase through a [`WorkerPolicy`]:
 //! [`WorkerPolicy::Fixed`] pins an explicit count (what the parity suites
@@ -70,7 +78,7 @@ use tbnet_nn::optim::{Sgd, StepLr};
 use tbnet_nn::{Layer, Mode, Param};
 use tbnet_tensor::{ops, par, BackendKind, Tensor};
 
-use crate::train::{EpochStats, TrainConfig};
+use crate::train::TrainConfig;
 use crate::transfer::apply_branch_sparsity;
 use crate::{CoreError, Result};
 
@@ -98,8 +106,10 @@ pub struct DpShard<S> {
 ///
 /// The contract (specified in full in `ARCHITECTURE.md` at the repo root):
 ///
-/// * a `W = 1` trainer step must be arithmetically identical to one step of
-///   the model's sequential training loop;
+/// * a `W = 1` trainer step must be arithmetically identical to one
+///   whole-batch step of the model's monolithic `forward(Mode::Train)` /
+///   `backward` — the sequential reference in `tests/common`, which the
+///   parity suites pin bit for bit;
 /// * for `W > 1` the only cross-shard coupling may be the BatchNorm
 ///   statistics/reductions the trainer synchronizes at the declared sync
 ///   points, visited in forward order `0..sync_points()` and revisited in
@@ -237,7 +247,7 @@ pub struct StepStats {
 ///
 /// Every training entry point (`train_victim_with_workers`,
 /// `train_two_branch_with_workers`, `iterative_prune_with_workers`,
-/// [`crate::attack::attack_with_workers`] and
+/// [`crate::attack::fine_tune_attack_with_workers`] and
 /// [`crate::pipeline::run_pipeline`] via `PipelineConfig::workers`) accepts
 /// `impl Into<WorkerPolicy>`, and a plain `usize` converts to
 /// [`WorkerPolicy::Fixed`] — existing call sites that pass a count keep
@@ -337,7 +347,16 @@ impl<'de> Deserialize<'de> for WorkerPolicy {
         match v {
             // Absent field (older configs predate the policy): autotune.
             serde::Value::Null => Ok(WorkerPolicy::Auto),
-            serde::Value::Num(n) => Ok(WorkerPolicy::Fixed(*n as usize)),
+            // `as usize` truncates and saturates: 2.5 → 2, -1 → 0 and
+            // 1e20 → usize::MAX, which no trainer can hold.
+            serde::Value::Num(n)
+                if n.is_finite() && *n >= 0.0 && n.fract() == 0.0 && *n < usize::MAX as f64 =>
+            {
+                Ok(WorkerPolicy::Fixed(*n as usize))
+            }
+            serde::Value::Num(n) => Err(serde::DeError(format!(
+                "worker count must be a non-negative whole number that fits usize, got {n}"
+            ))),
             serde::Value::Str(s) if s == "auto" => Ok(WorkerPolicy::Auto),
             other => Err(serde::DeError(format!(
                 "expected a worker count or \"auto\", got {other:?}"
@@ -480,11 +499,9 @@ fn autotune_workers<M: DpTrainable>(
 
 /// Data-parallel SGD driver: `W` replicas of one [`DpTrainable`] model that
 /// stay numerically identical across steps (see the module docs for the
-/// synchronization contract). [`train_victim_dp`],
-/// [`crate::transfer::train_two_branch_with_workers`],
-/// [`crate::pruning::iterative_prune_with_workers`] and
-/// [`crate::attack::attack_with_workers`] drive it; it is public so benches
-/// and future phases can step it batch by batch.
+/// synchronization contract). Every training phase drives it through the
+/// crate's one epoch loop; it is public so benches and future phases can
+/// step it batch by batch.
 ///
 /// # Examples
 ///
@@ -574,7 +591,8 @@ impl<M: DpTrainable> DataParallelTrainer<M> {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::InvalidConfig`] for zero workers.
+    /// Returns [`CoreError::InvalidConfig`] for zero workers, or for a count
+    /// whose replica table cannot be allocated.
     pub fn new(model: &M, workers: usize) -> Result<Self> {
         if workers == 0 {
             return Err(CoreError::InvalidConfig {
@@ -582,9 +600,15 @@ impl<M: DpTrainable> DataParallelTrainer<M> {
                 reason: "data-parallel training needs at least one worker".into(),
             });
         }
-        Ok(DataParallelTrainer {
-            replicas: vec![model.clone(); workers],
-        })
+        let mut replicas = Vec::new();
+        replicas
+            .try_reserve_exact(workers)
+            .map_err(|e| CoreError::InvalidConfig {
+                field: "workers",
+                reason: format!("cannot hold {workers} model replicas: {e}"),
+            })?;
+        replicas.resize(workers, model.clone());
+        Ok(DataParallelTrainer { replicas })
     }
 
     /// Number of replicas.
@@ -921,53 +945,62 @@ impl DpTrainable for ChainNet {
     }
 }
 
-/// Trains a [`ChainNet`] classifier in place with `workers`-way data
-/// parallelism, returning per-epoch stats. Batch composition, shuffling and
-/// the optimizer schedule are identical to
-/// [`crate::train::train_victim`]; the result matches the sequential
-/// trainer to f32 rounding (1e-5 in the parity suite) for any worker
-/// count.
-///
-/// # Errors
-///
-/// Returns configuration or shape errors.
-pub fn train_victim_dp(
-    net: &mut ChainNet,
+/// The one epoch loop behind every training phase: validates the schedule,
+/// resolves `workers` once against the starting model, then for each epoch
+/// sets the step-decayed learning rate and takes one
+/// [`DataParallelTrainer::step_with_penalty`] at weight `lambda` per
+/// shuffled minibatch. Returns the sample-weighted per-epoch means of the
+/// step statistics and writes the canonical replica back into `model`.
+pub(crate) fn fit<M: DpTrainable>(
+    model: &mut M,
     data: &ImageDataset,
     cfg: &TrainConfig,
-    workers: usize,
-) -> Result<Vec<EpochStats>> {
+    lambda: f32,
+    workers: impl Into<WorkerPolicy>,
+) -> Result<Vec<StepStats>> {
     cfg.validate()?;
-    let mut trainer = DataParallelTrainer::new(net, workers)?;
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
+    if lambda < 0.0 {
+        return Err(CoreError::InvalidConfig {
+            field: "lambda",
+            reason: "must be non-negative".into(),
+        });
+    }
     let mut sgd = Sgd::new(cfg.lr, cfg.momentum, cfg.weight_decay)?;
+    let workers = workers
+        .into()
+        .resolve(model, data, cfg.batch_size, &sgd, lambda)?;
+    let mut trainer = DataParallelTrainer::new(model, workers)?;
     let sched = StepLr::new(cfg.lr, cfg.lr_gamma, cfg.lr_step)?;
+    let mut rng = StdRng::seed_from_u64(cfg.seed);
     let mut history = Vec::with_capacity(cfg.epochs);
     for epoch in 0..cfg.epochs {
         sgd.set_lr(sched.lr_at(epoch));
-        let mut loss_acc = RunningMean::new();
-        let mut acc_acc = RunningMean::new();
+        let (mut loss, mut acc, mut penalty) =
+            (RunningMean::new(), RunningMean::new(), RunningMean::new());
         for batch in data.minibatches(cfg.batch_size, &mut rng) {
-            let stats = trainer.step(&batch, &sgd)?;
-            loss_acc.add(stats.loss, batch.len());
-            acc_acc.add(stats.acc, batch.len());
+            let stats = trainer.step_with_penalty(&batch, &sgd, lambda)?;
+            loss.add(stats.loss, batch.len());
+            acc.add(stats.acc, batch.len());
+            penalty.add(stats.penalty, batch.len());
         }
-        history.push(EpochStats {
-            epoch,
-            train_loss: loss_acc.mean(),
-            train_acc: acc_acc.mean(),
+        history.push(StepStats {
+            loss: loss.mean(),
+            acc: acc.mean(),
+            penalty: penalty.mean(),
         });
     }
-    *net = trainer.into_model();
+    *model = trainer.into_model();
     Ok(history)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::train::train_victim;
     use tbnet_data::{DatasetKind, SyntheticCifar};
     use tbnet_models::vgg;
+
+    use crate::persist::load_json;
+    use crate::pipeline::PipelineConfig;
 
     fn tiny_data() -> SyntheticCifar {
         SyntheticCifar::generate(
@@ -988,22 +1021,66 @@ mod tests {
         let mut net = ChainNet::from_spec(&spec, &mut rng).unwrap();
         let data = tiny_data();
         let cfg = TrainConfig::paper_scaled(1);
-        assert!(train_victim_dp(&mut net, data.train(), &cfg, 0).is_err());
+        assert!(fit(&mut net, data.train(), &cfg, 0.0, 0).is_err());
+        assert!(fit(&mut net, data.train(), &cfg, -1.0, 1).is_err());
     }
 
     #[test]
     fn more_workers_than_samples_still_trains() {
         let mut rng = StdRng::seed_from_u64(1);
         let spec = vgg::vgg_from_stages("v", &[(4, 1)], 4, 3, (8, 8));
-        let mut seq = ChainNet::from_spec(&spec, &mut rng).unwrap();
-        let mut dp = seq.clone();
+        let mut one = ChainNet::from_spec(&spec, &mut rng).unwrap();
+        let mut dp = one.clone();
         let data = tiny_data();
         let mut cfg = TrainConfig::paper_scaled(1);
         cfg.batch_size = 3; // smaller than the worker count below
-        let hs = train_victim(&mut seq, data.train(), &cfg).unwrap();
-        let hd = train_victim_dp(&mut dp, data.train(), &cfg, 5).unwrap();
-        assert_eq!(hs.len(), hd.len());
-        assert!((hs[0].train_loss - hd[0].train_loss).abs() < 1e-5);
+        let h1 = fit(&mut one, data.train(), &cfg, 0.0, 1).unwrap();
+        let hd = fit(&mut dp, data.train(), &cfg, 0.0, 5).unwrap();
+        assert_eq!(h1.len(), hd.len());
+        assert!((h1[0].loss - hd[0].loss).abs() < 1e-5);
+    }
+
+    #[test]
+    fn unrepresentable_worker_counts_are_rejected() {
+        // `as usize` used to load 2.5 as Fixed(2), -1 as Fixed(0) and 1e20
+        // as Fixed(usize::MAX), which then panicked `run_pipeline` with
+        // "capacity overflow" while cloning the replicas.
+        let mut cfg = PipelineConfig::smoke();
+        cfg.workers = WorkerPolicy::Fixed(3);
+        let good = serde_json::to_string(&cfg).unwrap();
+        assert!(
+            good.contains("\"workers\":3"),
+            "unexpected encoding: {good}"
+        );
+        let dir = std::env::temp_dir().join("tbnet_worker_policy_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("pipeline.json");
+        for bad in ["2.5", "-1", "1e20"] {
+            let json = good.replace("\"workers\":3", &format!("\"workers\":{bad}"));
+            std::fs::write(&path, json).unwrap();
+            let loaded = load_json::<PipelineConfig, _>(&path);
+            assert!(
+                matches!(loaded, Err(CoreError::PersistError { .. })),
+                "workers = {bad} loaded as {:?}",
+                loaded.map(|c| c.workers)
+            );
+        }
+        std::fs::write(&path, &good).unwrap();
+        let loaded = load_json::<PipelineConfig, _>(&path).unwrap();
+        assert_eq!(loaded.workers, WorkerPolicy::Fixed(3));
+        std::fs::remove_file(&path).ok();
+
+        // A count that does load but cannot be held is an error, not a panic.
+        let mut rng = StdRng::seed_from_u64(4);
+        let spec = vgg::vgg_from_stages("v", &[(4, 1)], 4, 3, (8, 8));
+        let net = ChainNet::from_spec(&spec, &mut rng).unwrap();
+        assert!(matches!(
+            DataParallelTrainer::new(&net, usize::MAX),
+            Err(CoreError::InvalidConfig {
+                field: "workers",
+                ..
+            })
+        ));
     }
 
     #[test]

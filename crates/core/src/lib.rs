@@ -15,8 +15,8 @@
 //! The pipeline (paper Fig. 1) is implemented end to end:
 //!
 //! 1. [`TwoBranchModel::from_victim`] — two-branch initialization (step ①);
-//! 2. [`transfer::train_two_branch`] — knowledge transfer minimizing Eq. 1
-//!    (cross-entropy + λ·L1 on BatchNorm scales) (step ②);
+//! 2. [`transfer::train_two_branch_with_workers`] — knowledge transfer
+//!    minimizing Eq. 1 (cross-entropy + λ·L1 on BatchNorm scales) (step ②);
 //! 3. [`pruning`] — iterative two-branch pruning driven by composite BN
 //!    weights, with fine-tuning and an accuracy-drop budget (steps ③–⑤,
 //!    Alg. 1);
@@ -38,12 +38,14 @@
 //! [`pipeline::run_pipeline`] chains all six steps and is what the benchmark
 //! harness calls to regenerate every table and figure of the paper.
 //!
-//! Every training phase — victim training, knowledge transfer and the
-//! pruning fine-tune — runs through the model-generic data-parallel engine
-//! in [`dp_train`]: [`dp_train::DpTrainable`] is implemented by both
+//! Every training phase — victim training, knowledge transfer, the pruning
+//! fine-tune and the attacker's fine-tune — has exactly one entry point,
+//! and all of them run one epoch loop on the model-generic data-parallel
+//! engine in [`dp_train`]: [`dp_train::DpTrainable`] is implemented by both
 //! [`tbnet_models::ChainNet`] and [`TwoBranchModel`], and
-//! [`dp_train::DataParallelTrainer`] reproduces the sequential loops to
-//! f32 rounding at any worker count (pinned at 1e-5 by the parity suites).
+//! [`dp_train::DataParallelTrainer`] at one worker is the sequential
+//! whole-batch loop bit for bit; at more workers it reproduces it to f32
+//! rounding (pinned at 1e-5 by the parity suites).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

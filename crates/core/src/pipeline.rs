@@ -5,14 +5,18 @@
 //! substitution model, prunes it iteratively, applies rollback finalization
 //! and returns everything the evaluation needs.
 //!
-//! All three training phases — victim training, knowledge transfer and the
-//! per-iteration pruning fine-tune — run through the generic data-parallel
-//! engine in [`crate::dp_train`] under the [`WorkerPolicy`] in
+//! Each of the three training phases — victim training, knowledge transfer
+//! and the per-iteration pruning fine-tune — is one call to that phase's
+//! single entry point ([`train_victim_with_workers`],
+//! [`train_two_branch_with_workers`], [`iterative_prune_with_workers`]),
+//! and all three share the one epoch loop on the generic data-parallel
+//! engine in [`crate::dp_train`]. They run under the [`WorkerPolicy`] in
 //! [`PipelineConfig::workers`] (default: [`WorkerPolicy::Auto`], which
 //! tunes a worker count per phase — and per pruning iteration — from the
 //! live layer widths plus a memoized step-timing probe, capped at
 //! `tbnet_tensor::par::max_threads()`), so the whole pipeline scales with
-//! the available cores while reproducing the sequential reference loops to
+//! the available cores. At `WorkerPolicy::Fixed(1)` every phase is the
+//! sequential whole-batch loop bit for bit; more workers agree with it to
 //! f32 rounding.
 //!
 //! A run is fully deterministic for a fixed worker count, and `Auto` probe

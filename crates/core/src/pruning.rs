@@ -21,7 +21,7 @@ use serde::{Deserialize, Serialize};
 
 use tbnet_data::ImageDataset;
 use tbnet_models::{ChainNet, HeadSpec};
-use tbnet_tensor::{par, Tensor};
+use tbnet_tensor::Tensor;
 
 use crate::channels::ChannelBook;
 use crate::dp_train::WorkerPolicy;
@@ -92,8 +92,8 @@ pub struct PruneIteration {
     pub kept: bool,
 }
 
-/// Result of [`iterative_prune`]: the loop history plus the rollback state
-/// for step ⑥.
+/// Result of [`iterative_prune_with_workers`]: the loop history plus the
+/// rollback state for step ⑥.
 #[derive(Debug, Clone)]
 pub struct PruneOutcome {
     /// Per-iteration records (including the final rejected one, if any).
@@ -376,35 +376,16 @@ pub fn total_channels(model: &TwoBranchModel) -> usize {
 /// Steps ③–⑤ — the full iterative prune/fine-tune/check loop of Alg. 1.
 ///
 /// `reference_acc` is the accuracy the drop budget is measured against
-/// (the victim's, per the paper's framing). The per-iteration fine-tune
-/// runs through the generic data-parallel engine with
-/// `tbnet_tensor::par::max_threads()` workers (see
-/// [`iterative_prune_with_workers`] for an explicit count).
-///
-/// # Errors
-///
-/// Returns configuration errors, or propagated training/shape errors.
-pub fn iterative_prune(
-    model: &mut TwoBranchModel,
-    train: &ImageDataset,
-    test: &ImageDataset,
-    reference_acc: f32,
-    cfg: &PruneConfig,
-) -> Result<PruneOutcome> {
-    iterative_prune_with_workers(model, train, test, reference_acc, cfg, par::max_threads())
-}
-
-/// [`iterative_prune`] with an explicit [`WorkerPolicy`] for the fine-tune
-/// phase (a plain `usize` converts to [`WorkerPolicy::Fixed`]): after every
-/// mask application, the pruned two-branch model is fine-tuned through
-/// [`crate::dp_train::DataParallelTrainer`], which shards each minibatch
-/// across the resolved number of replicas with synchronized BatchNorm
-/// statistics. The policy is re-resolved on every iteration against the
-/// *post-prune* branch widths, so [`WorkerPolicy::Auto`] backs off to fewer
-/// workers as the model narrows and synchronization starts to dominate.
-/// Pruned channels stay pruned: training never resizes layers, so the
-/// channel books, merge alignment and branch widths are invariant across
-/// data-parallel fine-tune steps (the parity suite asserts this).
+/// (the victim's, per the paper's framing). After every mask application,
+/// the pruned two-branch model is fine-tuned through
+/// [`train_two_branch_with_workers`] under `workers` (a plain `usize`
+/// converts to [`WorkerPolicy::Fixed`]). The policy is re-resolved on every
+/// iteration against the *post-prune* branch widths, so
+/// [`WorkerPolicy::Auto`] backs off to fewer workers as the model narrows
+/// and synchronization starts to dominate. Pruned channels stay pruned:
+/// training never resizes layers, so the channel books, merge alignment and
+/// branch widths are invariant across data-parallel fine-tune steps (the
+/// parity suite asserts this).
 ///
 /// # Errors
 ///
@@ -466,13 +447,12 @@ pub fn iterative_prune_with_workers(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transfer::train_two_branch;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use tbnet_data::{DatasetKind, SyntheticCifar};
     use tbnet_models::{resnet, vgg, ChainNet};
     use tbnet_nn::{Layer, Mode};
-    use tbnet_tensor::init;
+    use tbnet_tensor::{init, par};
 
     fn tb_from(spec: &tbnet_models::ModelSpec, seed: u64) -> TwoBranchModel {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -636,7 +616,13 @@ mod tests {
         );
         let spec = vgg::vgg_from_stages("v", &[(8, 1), (8, 1)], 3, 3, (8, 8));
         let mut tb = tb_from(&spec, 10);
-        train_two_branch(&mut tb, data.train(), &TransferConfig::paper_scaled(3)).unwrap();
+        train_two_branch_with_workers(
+            &mut tb,
+            data.train(),
+            &TransferConfig::paper_scaled(3),
+            par::max_threads(),
+        )
+        .unwrap();
         let ref_acc = evaluate_two_branch(&mut tb, data.test()).unwrap();
         let before = total_channels(&tb);
         let cfg = PruneConfig {
@@ -646,7 +632,15 @@ mod tests {
             max_iterations: 3,
             finetune: TransferConfig::paper_scaled(2),
         };
-        let outcome = iterative_prune(&mut tb, data.train(), data.test(), ref_acc, &cfg).unwrap();
+        let outcome = iterative_prune_with_workers(
+            &mut tb,
+            data.train(),
+            data.test(),
+            ref_acc,
+            &cfg,
+            par::max_threads(),
+        )
+        .unwrap();
         assert!(total_channels(&tb) < before);
         assert!(!outcome.history.is_empty());
         assert!(outcome.history.iter().all(|h| h.kept));
@@ -672,7 +666,13 @@ mod tests {
         );
         let spec = vgg::vgg_from_stages("v", &[(8, 1)], 3, 3, (8, 8));
         let mut tb = tb_from(&spec, 11);
-        train_two_branch(&mut tb, data.train(), &TransferConfig::paper_scaled(3)).unwrap();
+        train_two_branch_with_workers(
+            &mut tb,
+            data.train(),
+            &TransferConfig::paper_scaled(3),
+            par::max_threads(),
+        )
+        .unwrap();
         let before = total_channels(&tb);
         // Reference accuracy of 2.0 is unachievable, so the first iteration
         // is rejected and reverted.
@@ -683,7 +683,15 @@ mod tests {
             max_iterations: 3,
             finetune: TransferConfig::paper_scaled(1),
         };
-        let outcome = iterative_prune(&mut tb, data.train(), data.test(), 2.0, &cfg).unwrap();
+        let outcome = iterative_prune_with_workers(
+            &mut tb,
+            data.train(),
+            data.test(),
+            2.0,
+            &cfg,
+            par::max_threads(),
+        )
+        .unwrap();
         assert_eq!(total_channels(&tb), before);
         assert_eq!(outcome.history.len(), 1);
         assert!(!outcome.history[0].kept);

@@ -1,25 +1,21 @@
 //! Victim-model training and shared evaluation helpers.
 //!
 //! The threat model assumes the vendor ships a *well-trained, highly
-//! optimized* victim (paper §2.2); [`train_victim`] produces it with the
-//! paper's optimizer settings (SGD, momentum 0.9, weight decay 1e-4, step LR
-//! decay). [`train_victim_with_workers`] runs the same recipe through the
-//! data-parallel engine in [`crate::dp_train`] (synchronized BatchNorm,
-//! deterministic shard-merge), which reproduces the sequential results to
-//! f32 rounding at any worker count.
+//! optimized* victim (paper §2.2); [`train_victim_with_workers`] produces
+//! it with the paper's optimizer settings (SGD, momentum 0.9, weight decay
+//! 1e-4, step LR decay) through the data-parallel engine in
+//! [`crate::dp_train`] (synchronized BatchNorm, deterministic shard merge).
+//! One worker is the plain sequential loop bit for bit; more workers
+//! reproduce it to f32 rounding.
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 use tbnet_data::ImageDataset;
 use tbnet_models::ChainNet;
-use tbnet_nn::loss::softmax_cross_entropy;
-use tbnet_nn::metrics::{accuracy, RunningMean};
-use tbnet_nn::optim::{Sgd, StepLr};
+use tbnet_nn::metrics::accuracy;
 use tbnet_nn::{Layer, Mode};
 
-use crate::dp_train::WorkerPolicy;
+use crate::dp_train::{fit, WorkerPolicy};
 use crate::{CoreError, Result};
 
 /// Hyper-parameters for plain classifier training.
@@ -88,51 +84,14 @@ pub struct EpochStats {
     pub train_acc: f32,
 }
 
-/// Trains a [`ChainNet`] classifier in place, returning per-epoch stats.
-///
-/// # Errors
-///
-/// Returns configuration or shape errors.
-pub fn train_victim(
-    net: &mut ChainNet,
-    data: &ImageDataset,
-    cfg: &TrainConfig,
-) -> Result<Vec<EpochStats>> {
-    cfg.validate()?;
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut sgd = Sgd::new(cfg.lr, cfg.momentum, cfg.weight_decay)?;
-    let sched = StepLr::new(cfg.lr, cfg.lr_gamma, cfg.lr_step)?;
-    let mut history = Vec::with_capacity(cfg.epochs);
-    for epoch in 0..cfg.epochs {
-        sgd.set_lr(sched.lr_at(epoch));
-        let mut loss_acc = RunningMean::new();
-        let mut acc_acc = RunningMean::new();
-        for batch in data.minibatches(cfg.batch_size, &mut rng) {
-            net.zero_grad();
-            let logits = net.forward(&batch.images, Mode::Train)?;
-            let out = softmax_cross_entropy(&logits, &batch.labels)?;
-            net.backward(&out.grad)?;
-            sgd.step(net);
-            loss_acc.add(out.loss, batch.len());
-            acc_acc.add(accuracy(&logits, &batch.labels)?, batch.len());
-        }
-        history.push(EpochStats {
-            epoch,
-            train_loss: loss_acc.mean(),
-            train_acc: acc_acc.mean(),
-        });
-    }
-    Ok(history)
-}
-
-/// Trains with data parallelism under a [`WorkerPolicy`] (a plain `usize`
-/// converts to [`WorkerPolicy::Fixed`]), falling back to the plain
-/// sequential loop when the policy resolves to a single worker. The
-/// data-parallel engine ([`crate::dp_train`]) synchronizes BatchNorm
-/// statistics across shards and merges gradients deterministically, so
-/// every worker count produces the same loss curve, weights and running
-/// statistics to f32 rounding — pass [`WorkerPolicy::Auto`] for a per-phase
-/// autotuned count, or a fixed count to pin the shard layout.
+/// Trains a [`ChainNet`] classifier in place under a [`WorkerPolicy`] (a
+/// plain `usize` converts to [`WorkerPolicy::Fixed`]), returning per-epoch
+/// stats. The data-parallel engine ([`crate::dp_train`]) synchronizes
+/// BatchNorm statistics across shards and merges gradients
+/// deterministically, so every worker count produces the same loss curve,
+/// weights and running statistics to f32 rounding — pass
+/// [`WorkerPolicy::Auto`] for a per-phase autotuned count, or a fixed count
+/// to pin the shard layout (`1` for the seed-exact sequential result).
 ///
 /// # Errors
 ///
@@ -143,18 +102,16 @@ pub fn train_victim_with_workers(
     cfg: &TrainConfig,
     workers: impl Into<WorkerPolicy>,
 ) -> Result<Vec<EpochStats>> {
-    cfg.validate()?;
-    let sgd = Sgd::new(cfg.lr, cfg.momentum, cfg.weight_decay)?;
-    let workers = workers
-        .into()
-        .resolve(net, data, cfg.batch_size, &sgd, 0.0)?;
-    if workers == 1 {
-        train_victim(net, data, cfg)
-    } else {
-        // workers == 0 reaches the trainer and is rejected there, keeping
-        // the Fixed(0) contract identical across all four entry points.
-        crate::dp_train::train_victim_dp(net, data, cfg, workers)
-    }
+    let history = fit(net, data, cfg, 0.0, workers)?;
+    Ok(history
+        .into_iter()
+        .enumerate()
+        .map(|(epoch, s)| EpochStats {
+            epoch,
+            train_loss: s.loss,
+            train_acc: s.acc,
+        })
+        .collect())
 }
 
 /// Evaluates a [`ChainNet`] on a dataset (eval mode, batched to bound
@@ -176,6 +133,8 @@ pub fn evaluate(net: &mut ChainNet, data: &ImageDataset) -> Result<f32> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
     use tbnet_data::{DatasetKind, SyntheticCifar};
     use tbnet_models::vgg;
 
@@ -199,10 +158,10 @@ mod tests {
         let spec = vgg::vgg_from_stages("v", &[(4, 1)], 4, 3, (8, 8));
         let mut net = ChainNet::from_spec(&spec, &mut rng).unwrap();
         let data = tiny_data();
-        assert!(train_victim(&mut net, data.train(), &cfg).is_err());
+        assert!(train_victim_with_workers(&mut net, data.train(), &cfg, 1).is_err());
         cfg.epochs = 1;
         cfg.batch_size = 0;
-        assert!(train_victim(&mut net, data.train(), &cfg).is_err());
+        assert!(train_victim_with_workers(&mut net, data.train(), &cfg, 1).is_err());
     }
 
     #[test]
@@ -226,7 +185,7 @@ mod tests {
             epochs: 8,
             ..TrainConfig::paper_scaled(8)
         };
-        let history = train_victim(&mut net, data.train(), &cfg).unwrap();
+        let history = train_victim_with_workers(&mut net, data.train(), &cfg, 1).unwrap();
         assert_eq!(history.len(), 8);
         let acc = evaluate(&mut net, data.test()).unwrap();
         assert!(acc > 0.4, "test accuracy {acc} not above chance (0.25)");

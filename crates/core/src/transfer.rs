@@ -12,28 +12,20 @@
 //! drives unimportant channels toward zero, preparing the composite-weight
 //! pruning of steps ③–⑤.
 //!
-//! Since the unification of all training phases on the generic engine in
-//! [`crate::dp_train`], [`train_two_branch`] runs through
-//! [`DataParallelTrainer`] (sharding every minibatch across
-//! `tbnet_tensor::par::max_threads()` model replicas with synchronized
-//! BatchNorm statistics); [`train_two_branch_seq`] keeps the plain
-//! sequential loop as the arithmetic reference the parity suite
-//! (`tests/transfer_parity.rs`) pins the engine against.
+//! [`train_two_branch_with_workers`] runs the optimization through the
+//! generic data-parallel engine in [`crate::dp_train`], sharding every
+//! minibatch across model replicas with synchronized BatchNorm statistics.
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 use tbnet_data::ImageDataset;
 use tbnet_models::ChainNet;
-use tbnet_nn::loss::{apply_bn_sparsity_penalty, softmax_cross_entropy};
-use tbnet_nn::metrics::{accuracy, RunningMean};
-use tbnet_nn::optim::{Sgd, StepLr};
-use tbnet_nn::Mode;
-use tbnet_tensor::par;
+use tbnet_nn::loss::apply_bn_sparsity_penalty;
+use tbnet_nn::metrics::accuracy;
 
-use crate::dp_train::{DataParallelTrainer, WorkerPolicy};
-use crate::{CoreError, Result, TwoBranchModel};
+use crate::dp_train::{fit, WorkerPolicy};
+use crate::train::TrainConfig;
+use crate::{Result, TwoBranchModel};
 
 /// Hyper-parameters of the knowledge-transfer optimization.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -81,26 +73,19 @@ impl TransferConfig {
         self
     }
 
-    fn validate(&self) -> Result<()> {
-        if self.epochs == 0 {
-            return Err(CoreError::InvalidConfig {
-                field: "epochs",
-                reason: "must be at least 1".into(),
-            });
+    /// The optimizer schedule without λ, which the shared epoch loop takes
+    /// separately.
+    fn schedule(&self) -> TrainConfig {
+        TrainConfig {
+            epochs: self.epochs,
+            batch_size: self.batch_size,
+            lr: self.lr,
+            momentum: self.momentum,
+            weight_decay: self.weight_decay,
+            lr_step: self.lr_step,
+            lr_gamma: self.lr_gamma,
+            seed: self.seed,
         }
-        if self.batch_size == 0 {
-            return Err(CoreError::InvalidConfig {
-                field: "batch_size",
-                reason: "must be at least 1".into(),
-            });
-        }
-        if self.lambda < 0.0 {
-            return Err(CoreError::InvalidConfig {
-                field: "lambda",
-                reason: "must be non-negative".into(),
-            });
-        }
-        Ok(())
     }
 }
 
@@ -128,33 +113,15 @@ pub fn apply_branch_sparsity(net: &mut ChainNet, lambda: f32) -> f32 {
 }
 
 /// Runs the knowledge-transfer optimization (Eq. 1) over the two-branch
-/// model, updating both branches concurrently.
-///
-/// Routes through the generic [`DataParallelTrainer`] with
-/// `tbnet_tensor::par::max_threads()` workers; results match
-/// [`train_two_branch_seq`] to f32 rounding (1e-5 in the parity suite) for
-/// any worker count.
-///
-/// # Errors
-///
-/// Returns configuration or shape errors.
-pub fn train_two_branch(
-    model: &mut TwoBranchModel,
-    data: &ImageDataset,
-    cfg: &TransferConfig,
-) -> Result<Vec<TransferEpoch>> {
-    train_two_branch_with_workers(model, data, cfg, par::max_threads())
-}
-
-/// Knowledge transfer (Eq. 1) through the generic data-parallel engine
-/// under a [`WorkerPolicy`] (a plain `usize` converts to
-/// [`WorkerPolicy::Fixed`]): every minibatch is sharded across the resolved
-/// number of model replicas with synchronized BatchNorm statistics,
-/// gradients merge with a deterministic left-to-right fold, the sparsity
-/// subgradient is applied to the merged gradient, and every replica takes
-/// the identical SGD step. [`WorkerPolicy::Auto`] resolves against the
-/// model's *live* branch widths, so repeated fine-tunes of a shrinking
-/// model (the pruning loop) re-tune per iteration.
+/// model, updating both branches concurrently, under a [`WorkerPolicy`] (a
+/// plain `usize` converts to [`WorkerPolicy::Fixed`]): every minibatch is
+/// sharded across the resolved number of model replicas with synchronized
+/// BatchNorm statistics, gradients merge with a deterministic left-to-right
+/// fold, the sparsity subgradient is applied to the merged gradient, and
+/// every replica takes the identical SGD step. [`WorkerPolicy::Auto`]
+/// resolves against the model's *live* branch widths, so repeated
+/// fine-tunes of a shrinking model (the pruning loop) re-tune per
+/// iteration.
 ///
 /// # Errors
 ///
@@ -165,88 +132,17 @@ pub fn train_two_branch_with_workers(
     cfg: &TransferConfig,
     workers: impl Into<WorkerPolicy>,
 ) -> Result<Vec<TransferEpoch>> {
-    cfg.validate()?;
-    let mut sgd = Sgd::new(cfg.lr, cfg.momentum, cfg.weight_decay)?;
-    let workers = workers
-        .into()
-        .resolve(model, data, cfg.batch_size, &sgd, cfg.lambda)?;
-    let mut trainer = DataParallelTrainer::new(model, workers)?;
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let sched = StepLr::new(cfg.lr, cfg.lr_gamma, cfg.lr_step)?;
-    let mut history = Vec::with_capacity(cfg.epochs);
-    for epoch in 0..cfg.epochs {
-        sgd.set_lr(sched.lr_at(epoch));
-        let mut ce = RunningMean::new();
-        let mut sparsity = RunningMean::new();
-        let mut acc = RunningMean::new();
-        for batch in data.minibatches(cfg.batch_size, &mut rng) {
-            let stats = trainer.step_with_penalty(&batch, &sgd, cfg.lambda)?;
-            ce.add(stats.loss, batch.len());
-            sparsity.add(stats.penalty, batch.len());
-            acc.add(stats.acc, batch.len());
-        }
-        history.push(TransferEpoch {
+    let history = fit(model, data, &cfg.schedule(), cfg.lambda, workers)?;
+    Ok(history
+        .into_iter()
+        .enumerate()
+        .map(|(epoch, s)| TransferEpoch {
             epoch,
-            ce_loss: ce.mean(),
-            sparsity_loss: sparsity.mean(),
-            train_acc: acc.mean(),
-        });
-    }
-    *model = trainer.into_model();
-    Ok(history)
-}
-
-/// The plain sequential knowledge-transfer loop — the arithmetic reference
-/// the data-parallel parity suite pins [`train_two_branch_with_workers`]
-/// against. Prefer [`train_two_branch`] everywhere else.
-///
-/// # Errors
-///
-/// Returns configuration or shape errors.
-pub fn train_two_branch_seq(
-    model: &mut TwoBranchModel,
-    data: &ImageDataset,
-    cfg: &TransferConfig,
-) -> Result<Vec<TransferEpoch>> {
-    cfg.validate()?;
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut sgd = Sgd::new(cfg.lr, cfg.momentum, cfg.weight_decay)?;
-    let sched = StepLr::new(cfg.lr, cfg.lr_gamma, cfg.lr_step)?;
-    let mut history = Vec::with_capacity(cfg.epochs);
-    for epoch in 0..cfg.epochs {
-        sgd.set_lr(sched.lr_at(epoch));
-        let mut ce = RunningMean::new();
-        let mut sparsity = RunningMean::new();
-        let mut acc = RunningMean::new();
-        for batch in data.minibatches(cfg.batch_size, &mut rng) {
-            model.zero_grad();
-            let logits = model.forward(&batch.images, Mode::Train)?;
-            let out = softmax_cross_entropy(&logits, &batch.labels)?;
-            model.backward(&out.grad)?;
-            // Sparsity on γ_R and γ_T — the g(γ_R + γ_T) term of Eq. 1
-            // separates because the L1 norm of concatenated vectors is the
-            // sum of the branch norms.
-            let mut pen = apply_branch_sparsity(model.mr_mut(), cfg.lambda);
-            pen += apply_branch_sparsity(model.mt_mut(), cfg.lambda);
-            step_both(&sgd, model);
-            ce.add(out.loss, batch.len());
-            sparsity.add(pen, batch.len());
-            acc.add(accuracy(&logits, &batch.labels)?, batch.len());
-        }
-        history.push(TransferEpoch {
-            epoch,
-            ce_loss: ce.mean(),
-            sparsity_loss: sparsity.mean(),
-            train_acc: acc.mean(),
-        });
-    }
-    Ok(history)
-}
-
-fn step_both(sgd: &Sgd, model: &mut TwoBranchModel) {
-    use tbnet_nn::Layer;
-    sgd.step(model.mr_mut() as &mut dyn Layer);
-    sgd.step(model.mt_mut() as &mut dyn Layer);
+            ce_loss: s.loss,
+            sparsity_loss: s.penalty,
+            train_acc: s.acc,
+        })
+        .collect())
 }
 
 /// Evaluates the two-branch model on a dataset (eval mode, batched).
@@ -267,9 +163,11 @@ pub fn evaluate_two_branch(model: &mut TwoBranchModel, data: &ImageDataset) -> R
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
     use tbnet_data::{DatasetKind, SyntheticCifar};
     use tbnet_models::vgg;
-    use tbnet_models::ChainNet;
+    use tbnet_tensor::par;
 
     fn setup() -> (TwoBranchModel, SyntheticCifar) {
         let mut rng = StdRng::seed_from_u64(0);
@@ -293,16 +191,21 @@ mod tests {
         let (mut tb, data) = setup();
         let mut cfg = TransferConfig::paper_scaled(1);
         cfg.epochs = 0;
-        assert!(train_two_branch(&mut tb, data.train(), &cfg).is_err());
+        assert!(
+            train_two_branch_with_workers(&mut tb, data.train(), &cfg, par::max_threads()).is_err()
+        );
         let cfg = TransferConfig::paper_scaled(1).with_lambda(-1.0);
-        assert!(train_two_branch(&mut tb, data.train(), &cfg).is_err());
+        assert!(
+            train_two_branch_with_workers(&mut tb, data.train(), &cfg, par::max_threads()).is_err()
+        );
     }
 
     #[test]
     fn transfer_learns_above_chance() {
         let (mut tb, data) = setup();
         let cfg = TransferConfig::paper_scaled(8);
-        let history = train_two_branch(&mut tb, data.train(), &cfg).unwrap();
+        let history =
+            train_two_branch_with_workers(&mut tb, data.train(), &cfg, par::max_threads()).unwrap();
         assert_eq!(history.len(), 8);
         assert!(history.last().unwrap().ce_loss < history[0].ce_loss);
         let acc = evaluate_two_branch(&mut tb, data.test()).unwrap();
@@ -323,16 +226,18 @@ mod tests {
         };
         let mut strong = tb0.clone();
         let mut free = tb0;
-        train_two_branch(
+        train_two_branch_with_workers(
             &mut strong,
             data.train(),
             &TransferConfig::paper_scaled(5).with_lambda(5e-3),
+            par::max_threads(),
         )
         .unwrap();
-        train_two_branch(
+        train_two_branch_with_workers(
             &mut free,
             data.train(),
             &TransferConfig::paper_scaled(5).with_lambda(0.0),
+            par::max_threads(),
         )
         .unwrap();
         assert!(
@@ -347,7 +252,8 @@ mod tests {
     fn transfer_reports_sparsity_component() {
         let (mut tb, data) = setup();
         let cfg = TransferConfig::paper_scaled(2).with_lambda(1e-3);
-        let history = train_two_branch(&mut tb, data.train(), &cfg).unwrap();
+        let history =
+            train_two_branch_with_workers(&mut tb, data.train(), &cfg, par::max_threads()).unwrap();
         assert!(history.iter().all(|e| e.sparsity_loss > 0.0));
     }
 
@@ -355,7 +261,13 @@ mod tests {
     fn victim_head_in_mr_stays_frozen() {
         let (mut tb, data) = setup();
         let before = tb.mr().head().linear().weight().value.clone();
-        train_two_branch(&mut tb, data.train(), &TransferConfig::paper_scaled(2)).unwrap();
+        train_two_branch_with_workers(
+            &mut tb,
+            data.train(),
+            &TransferConfig::paper_scaled(2),
+            par::max_threads(),
+        )
+        .unwrap();
         // Weight decay is the only force on the unused head; with wd=1e-4
         // and a handful of steps the drift is tiny but non-random. Check the
         // head did not receive task gradient (relative change ≪ conv drift).

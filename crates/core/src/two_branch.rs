@@ -792,9 +792,9 @@ impl DpTrainable for TwoBranchModel {
     }
 
     fn optimizer_step(&mut self, sgd: &Sgd) {
-        // Exactly the sequential loop's `step_both`: the branches step as
-        // two separate layer trees (per-parameter updates are independent,
-        // so this equals one combined step — kept split for fidelity).
+        // The branches step as two separate layer trees, like the
+        // sequential reference (per-parameter updates are independent, so
+        // this equals one combined step).
         sgd.step(&mut self.mr as &mut dyn Layer);
         sgd.step(&mut self.mt as &mut dyn Layer);
     }

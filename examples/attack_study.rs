@@ -6,7 +6,8 @@
 //! cargo run --release --example attack_study
 //! ```
 
-use tbnet_core::attack::{direct_use_attack, fine_tune_attack};
+use tbnet_core::attack::{direct_use_attack, fine_tune_attack_with_workers};
+use tbnet_core::dp_train::WorkerPolicy;
 use tbnet_core::pipeline::{run_pipeline, PipelineConfig};
 use tbnet_core::train::TrainConfig;
 use tbnet_data::{DatasetKind, SyntheticCifar};
@@ -33,7 +34,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("{:>10} {:>9} {:>11}", "fraction", "samples", "attacker %");
     let cfg = TrainConfig::paper_scaled(4);
     for frac in [0.01, 0.1, 0.25, 0.5, 1.0] {
-        let out = fine_tune_attack(&artifacts.model, data.train(), data.test(), frac, &cfg)?;
+        let out = fine_tune_attack_with_workers(
+            &artifacts.model,
+            data.train(),
+            data.test(),
+            frac,
+            &cfg,
+            WorkerPolicy::Auto,
+        )?;
         println!(
             "{:>9.0}% {:>9} {:>10.1}%",
             frac * 100.0,

@@ -14,12 +14,13 @@
 use rand::SeedableRng;
 
 use tbnet_core::attack::direct_use_attack;
-use tbnet_core::pruning::{iterative_prune, PruneConfig};
-use tbnet_core::train::{evaluate, train_victim, TrainConfig};
-use tbnet_core::transfer::{evaluate_two_branch, train_two_branch, TransferConfig};
+use tbnet_core::pruning::{iterative_prune_with_workers, PruneConfig};
+use tbnet_core::train::{evaluate, train_victim_with_workers, TrainConfig};
+use tbnet_core::transfer::{evaluate_two_branch, train_two_branch_with_workers, TransferConfig};
 use tbnet_core::TwoBranchModel;
 use tbnet_data::{DatasetKind, SyntheticCifar};
 use tbnet_models::{resnet, ChainNet};
+use tbnet_tensor::par;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let data = SyntheticCifar::generate(
@@ -34,7 +35,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Step 0 — the vendor's victim model.
     println!("[0] training the ResNet-20 victim…");
     let mut victim = ChainNet::from_spec(&spec, &mut rng)?;
-    train_victim(&mut victim, data.train(), &TrainConfig::paper_scaled(5))?;
+    train_victim_with_workers(&mut victim, data.train(), &TrainConfig::paper_scaled(5), 1)?;
     let victim_acc = evaluate(&mut victim, data.test())?;
     println!("    victim accuracy: {:.1}%", victim_acc * 100.0);
 
@@ -56,7 +57,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Step 2 — knowledge transfer (Eq. 1).
     println!("[2] knowledge transfer…");
-    let history = train_two_branch(&mut tb, data.train(), &TransferConfig::paper_scaled(6))?;
+    let history = train_two_branch_with_workers(
+        &mut tb,
+        data.train(),
+        &TransferConfig::paper_scaled(6),
+        par::max_threads(),
+    )?;
     println!(
         "    CE loss {:.3} → {:.3}",
         history.first().unwrap().ce_loss,
@@ -69,7 +75,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     prune.max_iterations = 3;
     prune.ratio = 0.12;
     prune.drop_budget = 0.08;
-    let outcome = iterative_prune(&mut tb, data.train(), data.test(), victim_acc, &prune)?;
+    let outcome = iterative_prune_with_workers(
+        &mut tb,
+        data.train(),
+        data.test(),
+        victim_acc,
+        &prune,
+        par::max_threads(),
+    )?;
     for it in &outcome.history {
         println!(
             "    iter {}: {} channels, acc {:.1}% ({})",

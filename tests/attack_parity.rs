@@ -1,36 +1,31 @@
-//! Sequential-parity suite for the engine-routed attacker fine-tune: for
-//! W ∈ {1, 2, 4} workers, `attack_with_workers` must reproduce
-//! `attack_seq`'s loss curve, final weights and BatchNorm running
-//! statistics within 1e-5 (W = 1 bit-identically), and
+//! Sequential-parity suite for the attacker's fine-tune, which trains the
+//! stolen `M_R` through `train_victim_with_workers`: for W ∈ {1, 2, 4}
+//! workers it must reproduce the sequential reference's loss curve, final
+//! weights and BatchNorm running statistics within 1e-5 (W = 1
+//! bit-identically), the end-to-end `fine_tune_attack_with_workers`
+//! outcome must match a sequential attacker on the same stolen subset, and
 //! `WorkerPolicy::Auto` must stay within the thread cap and resolve
 //! deterministically.
+
+mod common;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use tbnet_core::attack::{
-    attack_seq, attack_with_workers, fine_tune_attack_seq, fine_tune_attack_with_workers,
+use common::{
+    assert_all_close, collect_bn_stats, collect_params, max_abs_diff, parity_tol, pin_threads,
+    train_victim_seq,
 };
+use tbnet_core::attack::fine_tune_attack_with_workers;
 use tbnet_core::dp_train::WorkerPolicy;
-use tbnet_core::train::TrainConfig;
-use tbnet_core::transfer::{train_two_branch, TransferConfig};
+use tbnet_core::train::{evaluate, train_victim_with_workers, TrainConfig};
+use tbnet_core::transfer::{train_two_branch_with_workers, TransferConfig};
 use tbnet_core::TwoBranchModel;
 use tbnet_data::{DatasetKind, SyntheticCifar};
 use tbnet_models::{vgg, ChainNet};
 use tbnet_nn::optim::Sgd;
 use tbnet_nn::{Layer, Mode};
-use tbnet_tensor::{par, Tensor};
-
-const TOL: f32 = 1e-5;
-
-/// Forces multi-shard pool paths on few-core dev hosts, but respects an
-/// explicit `TBNET_THREADS` (the CI thread matrix runs this suite at both
-/// 1 and 4 threads — overriding it here would collapse the legs).
-fn pin_threads() {
-    if std::env::var("TBNET_THREADS").is_err() {
-        par::set_max_threads(4);
-    }
-}
+use tbnet_tensor::par;
 
 fn data() -> SyntheticCifar {
     SyntheticCifar::generate(
@@ -51,7 +46,13 @@ fn deployed_model(d: &SyntheticCifar, seed: u64) -> TwoBranchModel {
     let spec = vgg::vgg_from_stages("attack-parity", &[(8, 1), (8, 1)], 4, 3, (8, 8));
     let victim = ChainNet::from_spec(&spec, &mut rng).unwrap();
     let mut tb = TwoBranchModel::from_victim(&victim, &mut rng).unwrap();
-    train_two_branch(&mut tb, d.train(), &TransferConfig::paper_scaled(3)).unwrap();
+    train_two_branch_with_workers(
+        &mut tb,
+        d.train(),
+        &TransferConfig::paper_scaled(3),
+        par::max_threads(),
+    )
+    .unwrap();
     tb
 }
 
@@ -63,41 +64,19 @@ fn cfg(epochs: usize) -> TrainConfig {
     }
 }
 
-fn collect_params(net: &mut ChainNet) -> Vec<Tensor> {
-    let mut out = Vec::new();
-    net.visit_params(&mut |p| out.push(p.value.clone()));
-    out
-}
-
-fn collect_bn_stats(net: &ChainNet) -> Vec<(Tensor, Tensor)> {
-    net.units()
-        .iter()
-        .map(|u| (u.bn().running_mean().clone(), u.bn().running_var().clone()))
-        .collect()
-}
-
-fn max_abs_diff(a: &Tensor, b: &Tensor) -> f32 {
-    assert_eq!(a.dims(), b.dims(), "shape drift between trainers");
-    a.as_slice()
-        .iter()
-        .zip(b.as_slice())
-        .map(|(x, y)| (x - y).abs())
-        .fold(0.0f32, f32::max)
-}
-
 /// Fine-tunes the stolen branch with the sequential reference and the
 /// engine at `workers` shards from identical initial state, asserting
-/// epoch-by-epoch loss parity plus final weight and BN running-stat parity
-/// within `tol` (`0.0` = bit-identical).
-fn assert_attack_parity(workers: usize, tol: f32, seed: u64) {
+/// epoch-by-epoch loss parity plus final weight and BN running-stat parity.
+fn assert_attack_parity(workers: usize, seed: u64) {
+    let tol = parity_tol(workers);
     let d = data();
     let stolen0 = deployed_model(&d, seed).extract_unsecured_branch();
     let cfg = cfg(3);
 
     let mut seq_net = stolen0.clone();
-    let seq_hist = attack_seq(&mut seq_net, d.train(), &cfg).unwrap();
+    let seq_hist = train_victim_seq(&mut seq_net, d.train(), &cfg);
     let mut dp_net = stolen0;
-    let dp_hist = attack_with_workers(&mut dp_net, d.train(), &cfg, workers).unwrap();
+    let dp_hist = train_victim_with_workers(&mut dp_net, d.train(), &cfg, workers).unwrap();
 
     assert_eq!(seq_hist.len(), dp_hist.len());
     for (s, p) in seq_hist.iter().zip(&dp_hist) {
@@ -114,30 +93,18 @@ fn assert_attack_parity(workers: usize, tol: f32, seed: u64) {
             s.epoch
         );
     }
-
-    for (i, (s, p)) in collect_params(&mut seq_net)
-        .iter()
-        .zip(&collect_params(&mut dp_net))
-        .enumerate()
-    {
-        let diff = max_abs_diff(s, p);
-        assert!(diff <= tol, "W={workers} param {i}: max |Δ| = {diff}");
-    }
-
-    for (i, ((sm, sv), (pm, pv))) in collect_bn_stats(&seq_net)
-        .iter()
-        .zip(&collect_bn_stats(&dp_net))
-        .enumerate()
-    {
-        assert!(
-            max_abs_diff(sm, pm) <= tol,
-            "W={workers} BN {i} running mean diverged"
-        );
-        assert!(
-            max_abs_diff(sv, pv) <= tol,
-            "W={workers} BN {i} running var diverged"
-        );
-    }
+    assert_all_close(
+        &format!("W={workers} param"),
+        &collect_params(&mut seq_net),
+        &collect_params(&mut dp_net),
+        tol,
+    );
+    assert_all_close(
+        &format!("W={workers} BN stat"),
+        &collect_bn_stats([&seq_net]),
+        &collect_bn_stats([&dp_net]),
+        tol,
+    );
 
     // Both stolen models predict identically after fine-tuning.
     let batch = d.test().as_batch();
@@ -155,19 +122,19 @@ fn one_worker_is_bit_identical_to_sequential() {
     // W = 1: one whole-batch shard, identity stat merge, single-shard
     // gradient fold — the engine must reproduce the sequential loop bit
     // for bit, not just within tolerance.
-    assert_attack_parity(1, 0.0, 50);
+    assert_attack_parity(1, 50);
 }
 
 #[test]
 fn two_workers_match_sequential() {
     pin_threads();
-    assert_attack_parity(2, TOL, 51);
+    assert_attack_parity(2, 51);
 }
 
 #[test]
 fn four_workers_match_sequential() {
     pin_threads();
-    assert_attack_parity(4, TOL, 52);
+    assert_attack_parity(4, 52);
 }
 
 #[test]
@@ -176,16 +143,24 @@ fn end_to_end_outcome_matches_sequential_reference() {
     let d = data();
     let tb = deployed_model(&d, 53);
     let cfg = cfg(2);
-    let seq = fine_tune_attack_seq(&tb, d.train(), d.test(), 0.5, &cfg).unwrap();
+
+    // The sequential attacker: the same stolen branch trained by the
+    // reference loop on the same stratified subset, which
+    // `fine_tune_attack_with_workers` draws from `cfg.seed ^ 0x5eed_a77a`.
+    let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x5eed_a77a);
+    let subset = d.train().stratified_fraction(0.5, &mut rng);
+    let mut seq_net = tb.extract_unsecured_branch();
+    train_victim_seq(&mut seq_net, &subset, &cfg);
+    let seq_accuracy = evaluate(&mut seq_net, d.test()).unwrap();
+
     for w in [1usize, 2, 4] {
         let dp = fine_tune_attack_with_workers(&tb, d.train(), d.test(), 0.5, &cfg, w).unwrap();
         assert_eq!(dp.workers, w);
-        assert_eq!(dp.samples_used, seq.samples_used);
+        assert_eq!(dp.samples_used, subset.len());
         assert!(
-            (dp.accuracy - seq.accuracy).abs() <= TOL,
-            "W={w}: attack accuracy {} vs sequential {}",
-            dp.accuracy,
-            seq.accuracy
+            (dp.accuracy - seq_accuracy).abs() <= parity_tol(w),
+            "W={w}: attack accuracy {} vs sequential {seq_accuracy}",
+            dp.accuracy
         );
     }
 }
@@ -235,9 +210,9 @@ fn auto_policy_trains_identically_to_its_resolved_fixed_count() {
     // under Auto must equal training under Fixed(resolved) bit for bit.
     let mut auto_net = stolen0.clone();
     let auto_hist =
-        attack_with_workers(&mut auto_net, d.train(), &cfg, WorkerPolicy::Auto).unwrap();
+        train_victim_with_workers(&mut auto_net, d.train(), &cfg, WorkerPolicy::Auto).unwrap();
     let mut fixed_net = stolen0;
-    let fixed_hist = attack_with_workers(&mut fixed_net, d.train(), &cfg, resolved).unwrap();
+    let fixed_hist = train_victim_with_workers(&mut fixed_net, d.train(), &cfg, resolved).unwrap();
 
     for (a, f) in auto_hist.iter().zip(&fixed_hist) {
         assert_eq!(a.train_loss, f.train_loss);

@@ -1,36 +1,28 @@
-//! Sequential-parity suite for the data-parallel pruning fine-tune (paper
-//! steps ③–⑤): after composite-weight pruning, fine-tuning the pruned
-//! two-branch model through the generic `DataParallelTrainer` at
-//! W ∈ {1, 2, 4} must match the sequential fine-tune loop within 1e-5
-//! (loss components, weights of both branches, BN running statistics) —
-//! and pruned channels must *stay* pruned: branch widths, channel books
-//! and merge alignment are invariant across data-parallel fine-tune steps.
+//! Sequential-parity suite for the pruning fine-tune (paper steps ③–⑤):
+//! after composite-weight pruning, fine-tuning the pruned two-branch model
+//! through `train_two_branch_with_workers` at W ∈ {1, 2, 4} must match the
+//! sequential reference — bit for bit at W = 1, within 1e-5 above (loss
+//! components, weights of both branches, BN running statistics) — and
+//! pruned channels must *stay* pruned: branch widths, channel books and
+//! merge alignment are invariant across data-parallel fine-tune steps.
+
+mod common;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+use common::{
+    assert_all_close, collect_bn_stats, collect_params, max_abs_diff, parity_tol, pin_threads,
+    train_two_branch_seq,
+};
 use tbnet_core::pruning::{
     build_masks, composite_scores, iterative_prune_with_workers, prune_two_branch_once,
     total_channels, PruneConfig,
 };
-use tbnet_core::transfer::{
-    evaluate_two_branch, train_two_branch_seq, train_two_branch_with_workers, TransferConfig,
-};
+use tbnet_core::transfer::{evaluate_two_branch, train_two_branch_with_workers, TransferConfig};
 use tbnet_core::TwoBranchModel;
 use tbnet_data::{DatasetKind, SyntheticCifar};
 use tbnet_models::{vgg, ChainNet};
-use tbnet_tensor::{par, Tensor};
-
-const TOL: f32 = 1e-5;
-
-/// Forces multi-shard pool paths on few-core dev hosts, but respects an
-/// explicit `TBNET_THREADS` (the CI thread matrix runs this suite at both
-/// 1 and 4 threads — overriding it here would collapse the legs).
-fn pin_threads() {
-    if std::env::var("TBNET_THREADS").is_err() {
-        par::set_max_threads(4);
-    }
-}
 
 fn data() -> SyntheticCifar {
     SyntheticCifar::generate(
@@ -61,26 +53,11 @@ fn pruned_model(seed: u64) -> TwoBranchModel {
     let mut tb = TwoBranchModel::from_victim(&victim, &mut rng).unwrap();
     let d = data();
     // A short transfer shapes the γ so composite scores are meaningful.
-    train_two_branch_seq(&mut tb, d.train(), &cfg(2)).unwrap();
+    train_two_branch_seq(&mut tb, d.train(), &cfg(2));
     let scores = composite_scores(&tb).unwrap();
     let masks = build_masks(&tb, &scores, 0.25, 2).unwrap();
     prune_two_branch_once(&mut tb, &masks).unwrap();
     tb
-}
-
-fn collect_params(model: &mut TwoBranchModel) -> Vec<Tensor> {
-    let mut out = Vec::new();
-    model.visit_params(&mut |p| out.push(p.value.clone()));
-    out
-}
-
-fn max_abs_diff(a: &Tensor, b: &Tensor) -> f32 {
-    assert_eq!(a.dims(), b.dims(), "shape drift between trainers");
-    a.as_slice()
-        .iter()
-        .zip(b.as_slice())
-        .map(|(x, y)| (x - y).abs())
-        .fold(0.0f32, f32::max)
 }
 
 /// Widths, books and alignment — everything pruning rewrote and fine-tuning
@@ -105,6 +82,7 @@ fn prune_fingerprint(model: &TwoBranchModel) -> (Vec<usize>, Vec<Vec<usize>>, Ve
 /// Fine-tunes the same pruned model sequentially and data-parallel and
 /// asserts full numeric parity plus mask preservation.
 fn assert_finetune_parity(workers: usize, seed: u64) {
+    let tol = parity_tol(workers);
     let d = data();
     let pruned = pruned_model(seed);
     let before = prune_fingerprint(&pruned);
@@ -112,45 +90,42 @@ fn assert_finetune_parity(workers: usize, seed: u64) {
     let mut dp = pruned;
     let cfg = cfg(3).with_lambda(1e-4);
 
-    let seq_hist = train_two_branch_seq(&mut seq, d.train(), &cfg).unwrap();
+    let seq_hist = train_two_branch_seq(&mut seq, d.train(), &cfg);
     let dp_hist = train_two_branch_with_workers(&mut dp, d.train(), &cfg, workers).unwrap();
 
+    assert_eq!(seq_hist.len(), dp_hist.len());
     for (s, p) in seq_hist.iter().zip(&dp_hist) {
         assert!(
-            (s.ce_loss - p.ce_loss).abs() < TOL,
+            (s.ce_loss - p.ce_loss).abs() <= tol,
             "W={workers} epoch {}: fine-tune ce {} vs {}",
             s.epoch,
             s.ce_loss,
             p.ce_loss
         );
         assert!(
-            (s.sparsity_loss - p.sparsity_loss).abs() < TOL,
+            (s.sparsity_loss - p.sparsity_loss).abs() <= tol,
             "W={workers} epoch {}: fine-tune sparsity diverged",
             s.epoch
         );
     }
-    for (i, (s, p)) in collect_params(&mut seq)
-        .iter()
-        .zip(&collect_params(&mut dp))
-        .enumerate()
-    {
-        let diff = max_abs_diff(s, p);
-        assert!(diff < TOL, "W={workers} param {i}: max |Δ| = {diff}");
-    }
-    for (i, (su, pu)) in seq.mr().units().iter().zip(dp.mr().units()).enumerate() {
-        assert!(
-            max_abs_diff(su.bn().running_mean(), pu.bn().running_mean()) < TOL
-                && max_abs_diff(su.bn().running_var(), pu.bn().running_var()) < TOL,
-            "W={workers} M_R BN {i} running stats diverged"
-        );
-    }
-    for (i, (su, pu)) in seq.mt().units().iter().zip(dp.mt().units()).enumerate() {
-        assert!(
-            max_abs_diff(su.bn().running_mean(), pu.bn().running_mean()) < TOL
-                && max_abs_diff(su.bn().running_var(), pu.bn().running_var()) < TOL,
-            "W={workers} M_T BN {i} running stats diverged"
-        );
-    }
+    assert_all_close(
+        &format!("W={workers} param"),
+        &collect_params(&mut seq),
+        &collect_params(&mut dp),
+        tol,
+    );
+    assert_all_close(
+        &format!("W={workers} M_R BN stat"),
+        &collect_bn_stats([seq.mr()]),
+        &collect_bn_stats([dp.mr()]),
+        tol,
+    );
+    assert_all_close(
+        &format!("W={workers} M_T BN stat"),
+        &collect_bn_stats([seq.mt()]),
+        &collect_bn_stats([dp.mt()]),
+        tol,
+    );
 
     // Pruned masks are preserved across every data-parallel fine-tune
     // step: widths, both channel books and the identity alignment are
@@ -167,7 +142,10 @@ fn assert_finetune_parity(workers: usize, seed: u64) {
     let batch = d.test().as_batch();
     let ys = seq.predict(&batch.images).unwrap();
     let yp = dp.predict(&batch.images).unwrap();
-    assert!(max_abs_diff(&ys, &yp) < 1e-4, "W={workers} logits diverged");
+    assert!(
+        max_abs_diff(&ys, &yp) <= tol.max(1e-4),
+        "W={workers} logits diverged"
+    );
 }
 
 #[test]

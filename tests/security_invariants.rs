@@ -3,12 +3,13 @@
 
 use rand::SeedableRng;
 
-use tbnet_core::transfer::{train_two_branch, TransferConfig};
+use tbnet_core::transfer::{train_two_branch_with_workers, TransferConfig};
 use tbnet_core::TwoBranchModel;
 use tbnet_data::{DatasetKind, SyntheticCifar};
 use tbnet_models::{resnet, vgg, ChainNet};
 use tbnet_tee::channel::one_way;
 use tbnet_tee::{Deployment, SecureWorld};
+use tbnet_tensor::par;
 
 fn data() -> SyntheticCifar {
     SyntheticCifar::generate(
@@ -63,7 +64,13 @@ fn transfer_moves_mr_away_from_victim_weights() {
         tb.mr().units()[0].conv().weight().value.as_slice(),
         victim_w.as_slice()
     );
-    train_two_branch(&mut tb, d.train(), &TransferConfig::paper_scaled(3)).unwrap();
+    train_two_branch_with_workers(
+        &mut tb,
+        d.train(),
+        &TransferConfig::paper_scaled(3),
+        par::max_threads(),
+    )
+    .unwrap();
     let drift: f32 = tb.mr().units()[0]
         .conv()
         .weight()
@@ -101,7 +108,13 @@ fn ree_classifier_receives_no_training_signal() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(5);
     let victim = ChainNet::from_spec(&spec, &mut rng).unwrap();
     let mut tb = TwoBranchModel::from_victim(&victim, &mut rng).unwrap();
-    train_two_branch(&mut tb, d.train(), &TransferConfig::paper_scaled(2)).unwrap();
+    train_two_branch_with_workers(
+        &mut tb,
+        d.train(),
+        &TransferConfig::paper_scaled(2),
+        par::max_threads(),
+    )
+    .unwrap();
     assert_eq!(tb.mr().head().linear().weight().grad.l1_norm(), 0.0);
 }
 

@@ -1,29 +1,24 @@
-//! Sequential-parity suite for the data-parallel training engine: for
-//! W ∈ {1, 2, 4} workers, the loss curve, final weights and BatchNorm
-//! running statistics must match the sequential trainer within 1e-5, and
-//! the work must flow through the persistent pool in `tbnet_tensor::par`
-//! (no per-call thread spawns on the training hot path).
+//! Sequential-parity suite for victim training: for W ∈ {1, 2, 4} workers,
+//! `train_victim_with_workers` must reproduce the sequential reference's
+//! loss curve, final weights and BatchNorm running statistics — bit for bit
+//! at W = 1, within 1e-5 above — and the work must flow through the
+//! persistent pool in `tbnet_tensor::par` (no per-call thread spawns on the
+//! training hot path).
+
+mod common;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use tbnet_core::dp_train::train_victim_dp;
-use tbnet_core::train::{train_victim, TrainConfig};
+use common::{
+    assert_all_close, collect_bn_stats, collect_params, max_abs_diff, parity_tol, pin_threads,
+    train_victim_seq,
+};
+use tbnet_core::train::{train_victim_with_workers, TrainConfig};
 use tbnet_data::{DatasetKind, SyntheticCifar};
 use tbnet_models::{resnet, vgg, ChainNet, ModelSpec};
 use tbnet_nn::{Layer, Mode};
-use tbnet_tensor::{par, Tensor};
-
-const TOL: f32 = 1e-5;
-
-/// Forces multi-shard pool paths on few-core dev hosts, but respects an
-/// explicit `TBNET_THREADS` (the CI thread matrix runs this suite at both
-/// 1 and 4 threads — overriding it here would collapse the legs).
-fn pin_threads() {
-    if std::env::var("TBNET_THREADS").is_err() {
-        par::set_max_threads(4);
-    }
-}
+use tbnet_tensor::par;
 
 fn data() -> SyntheticCifar {
     SyntheticCifar::generate(
@@ -45,86 +40,56 @@ fn cfg(epochs: usize) -> TrainConfig {
     }
 }
 
-fn collect_params(net: &mut ChainNet) -> Vec<Tensor> {
-    let mut out = Vec::new();
-    net.visit_params(&mut |p| out.push(p.value.clone()));
-    out
-}
-
-fn collect_bn_stats(net: &ChainNet) -> Vec<(Tensor, Tensor)> {
-    net.units()
-        .iter()
-        .map(|u| (u.bn().running_mean().clone(), u.bn().running_var().clone()))
-        .collect()
-}
-
-fn max_abs_diff(a: &Tensor, b: &Tensor) -> f32 {
-    assert_eq!(a.dims(), b.dims(), "shape drift between trainers");
-    a.as_slice()
-        .iter()
-        .zip(b.as_slice())
-        .map(|(x, y)| (x - y).abs())
-        .fold(0.0f32, f32::max)
-}
-
-/// Runs the sequential and data-parallel trainers from identical initial
-/// state and asserts epoch-by-epoch loss parity plus final weight and BN
-/// running-stat parity.
+/// Runs the sequential reference and the engine at `workers` shards from
+/// identical initial state and asserts epoch-by-epoch loss parity plus final
+/// weight and BN running-stat parity.
 fn assert_parity(spec: &ModelSpec, workers: usize, seed: u64) {
+    let tol = parity_tol(workers);
     let d = data();
     let mut rng = StdRng::seed_from_u64(seed);
     let mut seq_net = ChainNet::from_spec(spec, &mut rng).unwrap();
     let mut dp_net = seq_net.clone();
     let cfg = cfg(3);
 
-    let seq_hist = train_victim(&mut seq_net, d.train(), &cfg).unwrap();
-    let dp_hist = train_victim_dp(&mut dp_net, d.train(), &cfg, workers).unwrap();
+    let seq_hist = train_victim_seq(&mut seq_net, d.train(), &cfg);
+    let dp_hist = train_victim_with_workers(&mut dp_net, d.train(), &cfg, workers).unwrap();
 
     assert_eq!(seq_hist.len(), dp_hist.len());
     for (s, p) in seq_hist.iter().zip(&dp_hist) {
         assert!(
-            (s.train_loss - p.train_loss).abs() < TOL,
+            (s.train_loss - p.train_loss).abs() <= tol,
             "W={workers} epoch {}: sequential loss {} vs data-parallel {}",
             s.epoch,
             s.train_loss,
             p.train_loss
         );
         assert!(
-            (s.train_acc - p.train_acc).abs() < TOL,
+            (s.train_acc - p.train_acc).abs() <= tol,
             "W={workers} epoch {}: accuracy diverged",
             s.epoch
         );
     }
-
-    for (i, (s, p)) in collect_params(&mut seq_net)
-        .iter()
-        .zip(&collect_params(&mut dp_net))
-        .enumerate()
-    {
-        let diff = max_abs_diff(s, p);
-        assert!(diff < TOL, "W={workers} param {i}: max |Δ| = {diff}");
-    }
-
-    for (i, ((sm, sv), (pm, pv))) in collect_bn_stats(&seq_net)
-        .iter()
-        .zip(&collect_bn_stats(&dp_net))
-        .enumerate()
-    {
-        assert!(
-            max_abs_diff(sm, pm) < TOL,
-            "W={workers} BN {i} running mean diverged"
-        );
-        assert!(
-            max_abs_diff(sv, pv) < TOL,
-            "W={workers} BN {i} running var diverged"
-        );
-    }
+    assert_all_close(
+        &format!("W={workers} param"),
+        &collect_params(&mut seq_net),
+        &collect_params(&mut dp_net),
+        tol,
+    );
+    assert_all_close(
+        &format!("W={workers} BN stat"),
+        &collect_bn_stats([&seq_net]),
+        &collect_bn_stats([&dp_net]),
+        tol,
+    );
 
     // Both nets predict identically after training.
     let batch = d.test().as_batch();
     let ys = seq_net.forward(&batch.images, Mode::Eval).unwrap();
     let yp = dp_net.forward(&batch.images, Mode::Eval).unwrap();
-    assert!(max_abs_diff(&ys, &yp) < 1e-4, "W={workers} logits diverged");
+    assert!(
+        max_abs_diff(&ys, &yp) <= tol.max(1e-4),
+        "W={workers} logits diverged"
+    );
 }
 
 fn vgg_spec() -> ModelSpec {
@@ -176,7 +141,7 @@ fn training_runs_on_the_persistent_pool() {
 
     // Warm-up: pool workers come up lazily on first demand.
     let mut warm = net.clone();
-    train_victim_dp(&mut warm, d.train(), &cfg, 4).unwrap();
+    train_victim_with_workers(&mut warm, d.train(), &cfg, 4).unwrap();
     let workers_after_warmup = par::pool_workers();
     assert!(
         workers_after_warmup >= 1,
@@ -188,7 +153,7 @@ fn training_runs_on_the_persistent_pool() {
     // threads.
     let jobs_before = par::pool_jobs_completed();
     let mut dp_net = net.clone();
-    train_victim_dp(&mut dp_net, d.train(), &cfg, 4).unwrap();
+    train_victim_with_workers(&mut dp_net, d.train(), &cfg, 4).unwrap();
     assert!(
         par::pool_jobs_completed() > jobs_before,
         "training steps must submit pool jobs"
@@ -204,7 +169,7 @@ fn training_runs_on_the_persistent_pool() {
     // shared job counter without growing the worker set.
     let jobs_before = par::pool_jobs_completed();
     let mut seq_net = net.clone();
-    train_victim(&mut seq_net, d.train(), &cfg).unwrap();
+    train_victim_seq(&mut seq_net, d.train(), &cfg);
     assert!(
         par::pool_jobs_completed() >= jobs_before,
         "kernel chunking shares the same pool"

@@ -1,29 +1,24 @@
-//! Sequential-parity suite for data-parallel knowledge transfer (paper
-//! step ②): for W ∈ {1, 2, 4} workers, the per-epoch cross-entropy,
-//! sparsity-penalty and accuracy curves, the final weights of *both*
-//! branches and their BatchNorm running statistics must match the
-//! sequential transfer loop within 1e-5, and the work must flow through
-//! the persistent pool in `tbnet_tensor::par`.
+//! Sequential-parity suite for knowledge transfer (paper step ②): for
+//! W ∈ {1, 2, 4} workers, the per-epoch cross-entropy, sparsity-penalty and
+//! accuracy curves, the final weights of *both* branches and their
+//! BatchNorm running statistics must match the sequential transfer
+//! reference — bit for bit at W = 1, within 1e-5 above — and the work must
+//! flow through the persistent pool in `tbnet_tensor::par`.
+
+mod common;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use tbnet_core::transfer::{train_two_branch_seq, train_two_branch_with_workers, TransferConfig};
+use common::{
+    assert_all_close, collect_bn_stats, collect_params, max_abs_diff, parity_tol, pin_threads,
+    train_two_branch_seq,
+};
+use tbnet_core::transfer::{train_two_branch_with_workers, TransferConfig};
 use tbnet_core::TwoBranchModel;
 use tbnet_data::{DatasetKind, SyntheticCifar};
 use tbnet_models::{resnet, vgg, ChainNet, ModelSpec};
-use tbnet_tensor::{par, Tensor};
-
-const TOL: f32 = 1e-5;
-
-/// Forces multi-shard pool paths on few-core dev hosts, but respects an
-/// explicit `TBNET_THREADS` (the CI thread matrix runs this suite at both
-/// 1 and 4 threads — overriding it here would collapse the legs).
-fn pin_threads() {
-    if std::env::var("TBNET_THREADS").is_err() {
-        par::set_max_threads(4);
-    }
-}
+use tbnet_tensor::par;
 
 fn data() -> SyntheticCifar {
     SyntheticCifar::generate(
@@ -51,96 +46,63 @@ fn tb_from_spec(spec: &ModelSpec, seed: u64) -> TwoBranchModel {
     TwoBranchModel::from_victim(&victim, &mut rng).unwrap()
 }
 
-fn collect_params(model: &mut TwoBranchModel) -> Vec<Tensor> {
-    let mut out = Vec::new();
-    model.visit_params(&mut |p| out.push(p.value.clone()));
-    out
-}
-
-fn collect_bn_stats(model: &TwoBranchModel) -> Vec<(Tensor, Tensor)> {
-    model
-        .mr()
-        .units()
-        .iter()
-        .chain(model.mt().units())
-        .map(|u| (u.bn().running_mean().clone(), u.bn().running_var().clone()))
-        .collect()
-}
-
-fn max_abs_diff(a: &Tensor, b: &Tensor) -> f32 {
-    assert_eq!(a.dims(), b.dims(), "shape drift between trainers");
-    a.as_slice()
-        .iter()
-        .zip(b.as_slice())
-        .map(|(x, y)| (x - y).abs())
-        .fold(0.0f32, f32::max)
-}
-
-/// Runs the sequential and data-parallel transfer loops from identical
-/// initial state and asserts epoch-by-epoch loss-component parity plus
-/// final weight and BN running-stat parity for both branches.
+/// Runs the sequential reference and the engine at `workers` shards from
+/// identical initial state and asserts epoch-by-epoch loss-component parity
+/// plus final weight and BN running-stat parity for both branches.
 fn assert_transfer_parity(spec: &ModelSpec, workers: usize, seed: u64, lambda: f32) {
+    let tol = parity_tol(workers);
     let d = data();
     let tb0 = tb_from_spec(spec, seed);
     let mut seq = tb0.clone();
     let mut dp = tb0;
     let cfg = cfg(3).with_lambda(lambda);
 
-    let seq_hist = train_two_branch_seq(&mut seq, d.train(), &cfg).unwrap();
+    let seq_hist = train_two_branch_seq(&mut seq, d.train(), &cfg);
     let dp_hist = train_two_branch_with_workers(&mut dp, d.train(), &cfg, workers).unwrap();
 
     assert_eq!(seq_hist.len(), dp_hist.len());
     for (s, p) in seq_hist.iter().zip(&dp_hist) {
         assert!(
-            (s.ce_loss - p.ce_loss).abs() < TOL,
+            (s.ce_loss - p.ce_loss).abs() <= tol,
             "W={workers} epoch {}: sequential ce {} vs data-parallel {}",
             s.epoch,
             s.ce_loss,
             p.ce_loss
         );
         assert!(
-            (s.sparsity_loss - p.sparsity_loss).abs() < TOL,
+            (s.sparsity_loss - p.sparsity_loss).abs() <= tol,
             "W={workers} epoch {}: sparsity penalty diverged ({} vs {})",
             s.epoch,
             s.sparsity_loss,
             p.sparsity_loss
         );
         assert!(
-            (s.train_acc - p.train_acc).abs() < TOL,
+            (s.train_acc - p.train_acc).abs() <= tol,
             "W={workers} epoch {}: accuracy diverged",
             s.epoch
         );
     }
-
-    for (i, (s, p)) in collect_params(&mut seq)
-        .iter()
-        .zip(&collect_params(&mut dp))
-        .enumerate()
-    {
-        let diff = max_abs_diff(s, p);
-        assert!(diff < TOL, "W={workers} param {i}: max |Δ| = {diff}");
-    }
-
-    for (i, ((sm, sv), (pm, pv))) in collect_bn_stats(&seq)
-        .iter()
-        .zip(&collect_bn_stats(&dp))
-        .enumerate()
-    {
-        assert!(
-            max_abs_diff(sm, pm) < TOL,
-            "W={workers} BN {i} running mean diverged"
-        );
-        assert!(
-            max_abs_diff(sv, pv) < TOL,
-            "W={workers} BN {i} running var diverged"
-        );
-    }
+    assert_all_close(
+        &format!("W={workers} param"),
+        &collect_params(&mut seq),
+        &collect_params(&mut dp),
+        tol,
+    );
+    assert_all_close(
+        &format!("W={workers} BN stat"),
+        &collect_bn_stats([seq.mr(), seq.mt()]),
+        &collect_bn_stats([dp.mr(), dp.mt()]),
+        tol,
+    );
 
     // Both models predict identically after training.
     let batch = d.test().as_batch();
     let ys = seq.predict(&batch.images).unwrap();
     let yp = dp.predict(&batch.images).unwrap();
-    assert!(max_abs_diff(&ys, &yp) < 1e-4, "W={workers} logits diverged");
+    assert!(
+        max_abs_diff(&ys, &yp) <= tol.max(1e-4),
+        "W={workers} logits diverged"
+    );
 }
 
 fn vgg_spec() -> ModelSpec {

@@ -5,27 +5,19 @@
 //! int8 inference paths must agree with the f32 reference on the pruned
 //! deployment.
 
+mod common;
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use tbnet_core::dp_train::train_victim_dp;
+use common::{
+    assert_all_close, collect_params, max_abs_diff, parity_tol, pin_threads, train_victim_seq,
+};
 use tbnet_core::pipeline::{run_pipeline, PipelineConfig};
-use tbnet_core::train::{train_victim, TrainConfig};
+use tbnet_core::train::{train_victim_with_workers, TrainConfig};
 use tbnet_data::{DatasetKind, SyntheticCifar};
 use tbnet_models::{mobile, resnet, vgg, ChainNet, ModelSpec};
-use tbnet_nn::Layer;
-use tbnet_tensor::{par, Tensor};
-
-const TOL: f32 = 1e-5;
-
-/// Forces multi-shard pool paths on few-core dev hosts, but respects an
-/// explicit `TBNET_THREADS` (the CI thread matrix runs this suite at both
-/// 1 and 4 threads).
-fn pin_threads() {
-    if std::env::var("TBNET_THREADS").is_err() {
-        par::set_max_threads(4);
-    }
-}
+use tbnet_tensor::Tensor;
 
 fn data() -> SyntheticCifar {
     SyntheticCifar::generate(
@@ -58,23 +50,9 @@ fn zoo_specs() -> Vec<(&'static str, ModelSpec)> {
     ]
 }
 
-fn max_abs_diff(a: &Tensor, b: &Tensor) -> f32 {
-    assert_eq!(a.dims(), b.dims(), "shape drift");
-    a.as_slice()
-        .iter()
-        .zip(b.as_slice())
-        .map(|(x, y)| (x - y).abs())
-        .fold(0.0f32, f32::max)
-}
-
-fn collect_params(net: &mut ChainNet) -> Vec<Tensor> {
-    let mut out = Vec::new();
-    net.visit_params(&mut |p| out.push(p.value.clone()));
-    out
-}
-
 /// Sequential vs data-parallel training parity for every zoo architecture
-/// at W ∈ {1, 2}: loss curves and final weights within 1e-5.
+/// at W ∈ {1, 2}: loss curves and final weights bit for bit at W = 1,
+/// within 1e-5 at W = 2.
 #[test]
 fn zoo_dp_train_matches_sequential() {
     pin_threads();
@@ -88,30 +66,29 @@ fn zoo_dp_train_matches_sequential() {
         let mut rng = StdRng::seed_from_u64(0xA11CE);
         let seq_init = ChainNet::from_spec(&spec, &mut rng).unwrap();
         let mut seq_net = seq_init.clone();
-        let seq_hist = train_victim(&mut seq_net, d.train(), &cfg).unwrap();
+        let seq_hist = train_victim_seq(&mut seq_net, d.train(), &cfg);
         let seq_params = collect_params(&mut seq_net);
 
         for workers in [1usize, 2] {
+            let tol = parity_tol(workers);
             let mut dp_net = seq_init.clone();
-            let dp_hist = train_victim_dp(&mut dp_net, d.train(), &cfg, workers).unwrap();
+            let dp_hist = train_victim_with_workers(&mut dp_net, d.train(), &cfg, workers).unwrap();
             assert_eq!(seq_hist.len(), dp_hist.len());
             for (s, p) in seq_hist.iter().zip(&dp_hist) {
                 assert!(
-                    (s.train_loss - p.train_loss).abs() < TOL,
+                    (s.train_loss - p.train_loss).abs() <= tol,
                     "{name} W={workers} epoch {}: loss {} vs {}",
                     s.epoch,
                     s.train_loss,
                     p.train_loss
                 );
             }
-            for (i, (s, p)) in seq_params
-                .iter()
-                .zip(&collect_params(&mut dp_net))
-                .enumerate()
-            {
-                let diff = max_abs_diff(s, p);
-                assert!(diff < TOL, "{name} W={workers} param {i}: max |Δ| = {diff}");
-            }
+            assert_all_close(
+                &format!("{name} W={workers} param"),
+                &seq_params,
+                &collect_params(&mut dp_net),
+                tol,
+            );
         }
     }
 }
