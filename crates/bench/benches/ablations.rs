@@ -1,4 +1,4 @@
-//! Ablation benchmarks for the design choices called out in DESIGN.md §5:
+//! Ablation benchmarks for the design choices `bin/ablations` evaluates:
 //! mask-construction cost under composite vs single-branch scoring, and
 //! executor sensitivity to the world-switch cost (ablation 4).
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};

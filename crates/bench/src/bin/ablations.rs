@@ -1,4 +1,4 @@
-//! Quality ablations for the design choices called out in DESIGN.md §5:
+//! Quality ablations for TBNet's design choices:
 //!
 //! 1. composite BN scoring (`|γ_R| + |γ_T|`) vs. single-branch scoring;
 //! 2. rollback depth (0 = no divergence, 1 = paper, 2 = wider `M_R`);

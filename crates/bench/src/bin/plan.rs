@@ -1,6 +1,5 @@
 //! Capacity-planning report: runs the deployment auto-optimizer under two
-//! distinct SLOs, sweeps a fleet capacity curve, packs a tenant mix into
-//! secure worlds, and validates the calibrated simulator's throughput
+//! distinct SLOs and validates the calibrated simulator's throughput
 //! bracket against a short live `ServeEngine` run. Writes `BENCH_plan.json`
 //! at the repo root (or the path given as the first argument).
 //!
@@ -17,9 +16,7 @@ use std::time::{Duration, Instant};
 use serde::Serialize;
 use tbnet_core::pipeline::{run_pipeline, PipelineConfig};
 use tbnet_core::planner::{
-    capacity_curve, optimize_deployment, plan_fleet, pruned_spec, validate_against_live,
-    CandidatePlan, CapacityCurve, FleetSchedule, LiveValidation, SearchSpace, Slo, TenantDemand,
-    TenantMix,
+    optimize_deployment, validate_against_live, CandidatePlan, LiveValidation, SearchSpace, Slo,
 };
 use tbnet_core::serve::{ServeConfig, ServeEngine};
 use tbnet_core::TwoBranchModel;
@@ -52,24 +49,11 @@ struct ChosenPlan {
     max_qps: f64,
 }
 
-#[derive(Debug, Clone, Serialize)]
-struct CurvePoint {
-    budget_mib: f64,
-    qps: f64,
-    batches: Vec<usize>,
-}
-
 #[derive(Debug, Serialize)]
 struct PlanBenchReport {
     report: String,
     threads: usize,
     plans: Vec<ChosenPlan>,
-    curve: Vec<CurvePoint>,
-    knee_budget_mib: f64,
-    knee_qps: f64,
-    fleet_worlds: usize,
-    fleet_world_utilizations: Vec<f64>,
-    schedule_amortization: f64,
     live_measured_qps: f64,
     live_predicted_serial_qps: f64,
     live_predicted_pipelined_qps: f64,
@@ -222,69 +206,6 @@ fn main() {
         "the two SLOs must choose different (pruning, rollback, batch) plans"
     );
 
-    // ---- Fleet capacity curve: max sustained QPS per MiB of secure memory. ----
-    let mix = vec![
-        TenantMix {
-            name: "heavy".into(),
-            mt_spec: pruned_spec(&victim, 0.2, 2, 2).expect("spec prunes"),
-            mr_spec: pruned_spec(&victim, 0.2, 2, 1).expect("spec prunes"),
-            fraction: 3.0,
-        },
-        TenantMix {
-            name: "medium".into(),
-            mt_spec: pruned_spec(&victim, 0.2, 2, 3).expect("spec prunes"),
-            mr_spec: pruned_spec(&victim, 0.2, 2, 2).expect("spec prunes"),
-            fraction: 2.0,
-        },
-        TenantMix {
-            name: "light".into(),
-            mt_spec: pruned_spec(&victim, 0.2, 2, 4).expect("spec prunes"),
-            mr_spec: pruned_spec(&victim, 0.2, 2, 2).expect("spec prunes"),
-            fraction: 1.0,
-        },
-    ];
-    let budgets: Vec<usize> = (1..=16).map(|i| i << 20).collect();
-    let curve: CapacityCurve =
-        capacity_curve(&mix, &cost, &budgets, &[1, 2, 4, 8, 16]).expect("curve sweeps");
-    let knee = curve.knee().expect("some budget is feasible").clone();
-    println!(
-        "capacity curve: max {:.0} qps, knee at {} MiB ({:.0} qps)",
-        curve.max_qps(),
-        knee.budget_bytes >> 20,
-        knee.qps
-    );
-    // knee_qps / max_qps / amortization are higher-is-better, so they are
-    // floor-gated from the top-level summary fields, not ratio-gated rows.
-    results.push(row("curve", "knee_mib", (knee.budget_bytes >> 20) as f64));
-
-    // ---- Fleet packing + batched cross-tenant schedule. ----
-    let tenants: Vec<TenantDemand> = vec![
-        TenantDemand::from_plan("interactive-a", &plans[0].1, 40.0),
-        TenantDemand::from_plan("interactive-b", &plans[0].1, 40.0),
-        TenantDemand::from_plan("constrained-a", &plans[1].1, 25.0),
-        TenantDemand::from_plan("constrained-b", &plans[1].1, 25.0),
-        TenantDemand::from_plan("constrained-c", &plans[1].1, 25.0),
-    ];
-    let fleet = plan_fleet(&tenants, &cost, cost.secure_memory_budget).expect("fleet packs");
-    let utilizations: Vec<f64> = fleet.worlds.iter().map(|w| w.compute_utilization).collect();
-    println!(
-        "fleet: {} tenants -> {} world(s), utilizations {:?}",
-        tenants.len(),
-        fleet.world_count(),
-        utilizations
-            .iter()
-            .map(|u| (u * 1e3).round() / 1e3)
-            .collect::<Vec<_>>()
-    );
-    let schedule =
-        FleetSchedule::round_robin(&tenants, &[1000, 1000, 625, 625, 625]).expect("schedules");
-    println!(
-        "schedule: {} crossings, {:.2}x switch amortization over unbatched",
-        schedule.slots.len(),
-        schedule.amortization_factor()
-    );
-    results.push(row("fleet", "worlds", fleet.world_count() as f64));
-
     // ---- Live validation of the simulator's throughput bracket. ----
     let tolerance = 2.0;
     let live = live_validation(tolerance);
@@ -310,33 +231,17 @@ fn main() {
         report: "plan".to_string(),
         threads: par::max_threads(),
         plans: plans.iter().map(|(s, p)| chosen(s, p)).collect(),
-        curve: curve
-            .points
-            .iter()
-            .map(|p| CurvePoint {
-                budget_mib: (p.budget_bytes >> 20) as f64,
-                qps: p.qps,
-                batches: p.batches.clone(),
-            })
-            .collect(),
-        knee_budget_mib: (knee.budget_bytes >> 20) as f64,
-        knee_qps: knee.qps,
-        fleet_worlds: fleet.world_count(),
-        fleet_world_utilizations: utilizations,
-        schedule_amortization: schedule.amortization_factor(),
         live_measured_qps: live.measured_qps,
         live_predicted_serial_qps: live.predicted_serial_qps,
         live_predicted_pipelined_qps: live.predicted_pipelined_qps,
         live_tolerance: live.tolerance,
         live_within_tolerance: live.within_tolerance,
         results,
-        note: "plan|* rows are analytic: the optimizer and the capacity curve \
-               price (pruning x rollback x batch) candidates against the fixed \
-               Raspberry-Pi-3 cost profile, so values are machine-exact and \
-               tightly gated. Cost-like rows (occupancy, latency, footprint, \
-               knee budget, world count) are ratio-gated; higher-is-better \
-               summaries (knee_qps, schedule_amortization) are floor-gated \
-               absolutely. The two SLOs must pick different plan tuples \
+        note: "plan|* rows are analytic: the optimizer prices (pruning x \
+               rollback x batch) candidates against the fixed Raspberry-Pi-3 \
+               cost profile, so values are machine-exact and tightly gated. \
+               The cost-like rows (occupancy, latency, footprint) are \
+               ratio-gated. The two SLOs must pick different plan tuples \
                (asserted). The live section drives a saturated ServeEngine run \
                on a trained smoke deployment, calibrates the simulator from \
                its measured stage times, and asserts the measured throughput \

@@ -6,7 +6,8 @@ use tbnet_core::pipeline::{run_pipeline, PipelineConfig, TbnetArtifacts};
 use tbnet_data::{DatasetKind, SyntheticCifar};
 use tbnet_models::ModelSpec;
 
-/// Which paper model a scenario uses (width-scaled variants; see DESIGN.md).
+/// Which paper model a scenario uses (width-scaled variants; see
+/// [`ModelKind::spec`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ModelKind {
     /// The paper's VGG18 (scaled: `vgg_tiny`).
@@ -24,8 +25,8 @@ impl ModelKind {
         }
     }
 
-    /// The experiment-scale spec for this model (width-scaled twins; see
-    /// DESIGN.md §2 and the calibration notes in `EXPERIMENTS.md`).
+    /// The experiment-scale spec for this model: width-scaled twins of the
+    /// paper's models, trained on 16×16 synthetic images.
     pub fn spec(self, classes: usize) -> ModelSpec {
         match self {
             ModelKind::Vgg18 => tbnet_models::vgg::vgg_tiny(classes, 3, (16, 16)),
@@ -90,8 +91,7 @@ impl Scale {
         }
     }
 
-    /// The experiment scale reported in `EXPERIMENTS.md` (minutes per
-    /// scenario on one core).
+    /// The full experiment scale (minutes per scenario on one core).
     pub fn full() -> Self {
         Scale {
             name: "full",

@@ -13,10 +13,10 @@
 //! | `cargo run -p tbnet-bench --bin all --release`    | everything, sharing trained artifacts |
 //!
 //! The Criterion benches (`cargo bench`) cover kernels, inference paths, the
-//! TEE executor and the DESIGN.md ablations.
+//! TEE executor and the ablations of `bin/ablations`.
 //!
 //! Set `TBNET_SCALE=quick` for a fast smoke run or `TBNET_SCALE=full`
-//! (default) for the experiment scale used in `EXPERIMENTS.md`.
+//! (default) for the full experiment scale ([`experiments::Scale::full`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

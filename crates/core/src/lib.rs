@@ -32,8 +32,7 @@
 //!    fault injection and graceful int8 degradation;
 //! 8. [`planner`] — capacity planning on top of it all: a deployment
 //!    auto-optimizer searching (pruning × rollback × batch) against an SLO,
-//!    and a fleet planner packing tenant models into secure worlds with
-//!    capacity curves validated against live serving runs.
+//!    with the simulator it prices against validated by live serving runs.
 //!
 //! [`pipeline::run_pipeline`] chains all six steps and is what the benchmark
 //! harness calls to regenerate every table and figure of the paper.

@@ -1,23 +1,15 @@
-//! Capacity planning: inverting the cost model into deployment decisions.
+//! Capacity planning: inverting the cost model into a deployment decision.
 //!
 //! The paper prices one fixed TBNet deployment (Table 3, Fig. 3). This
-//! module runs the pricing machinery *backwards*, answering the two
-//! questions an operator actually asks:
-//!
-//! * **Which deployment should I build?** [`optimize_deployment`] searches
-//!   the (pruning iterations × rollback point × batch size) space for the
-//!   cheapest candidate meeting a latency/secure-memory/capacity SLO. Each
-//!   candidate is priced analytically — [`DeploymentPlan::from_specs`] +
-//!   the event-driven simulator — so the search spends no training time;
-//!   only the winner needs to go through
-//!   [`run_pipeline`](crate::pipeline::run_pipeline) (see
-//!   [`PipelineConfig::for_plan`](crate::pipeline::PipelineConfig::for_plan)).
-//! * **How many enclaves does my traffic mix need?** [`plan_fleet`] packs
-//!   tenant models into simulated [`SecureWorld`]s under both a memory and
-//!   a compute constraint, [`capacity_curve`] sweeps the secure-memory
-//!   budget to produce max-sustained-QPS-per-MB curves, and
-//!   [`FleetSchedule::round_robin`] emits the batched cross-tenant schedule
-//!   whose world-switch amortization those numbers assume.
+//! module runs the pricing machinery *backwards*, answering the question an
+//! operator actually asks: **which deployment should I build?**
+//! [`optimize_deployment`] searches the (pruning iterations × rollback point
+//! × batch size) space for the cheapest candidate meeting a
+//! latency/secure-memory/capacity SLO. Each candidate is priced analytically
+//! — [`DeploymentPlan::from_specs`] + the event-driven simulator — so the
+//! search spends no training time; only the winner needs to go through
+//! [`run_pipeline`](crate::pipeline::run_pipeline) (see
+//! [`PipelineConfig::for_plan`](crate::pipeline::PipelineConfig::for_plan)).
 //!
 //! The cost model the planner prices against is fitted to the target host
 //! by a short live run: [`ServeReport::calibrated_cost_model`] turns
@@ -32,8 +24,8 @@
 //! [`LatencyReport::secure_occupancy_s`] divided by the batch size. Unlike
 //! end-to-end latency (most of which the REE hides via pipelining), TEE
 //! compute, merges and world switches serialize across every request that
-//! shares a secure world, so occupancy is exactly the denominator of
-//! sustained fleet capacity. Ties break on secure bytes, then latency.
+//! shares a secure world, so occupancy is exactly the denominator of the
+//! world's sustained throughput. Ties break on secure bytes, then latency.
 //!
 //! # The accuracy proxy
 //!
@@ -50,18 +42,14 @@ use serde::{Deserialize, Serialize};
 
 use tbnet_models::ModelSpec;
 use tbnet_tee::{
-    simulate_two_branch, simulate_two_branch_batched, CostModel, Deployment, LatencyReport,
-    MeasuredStages, MemoryReport, SecureWorld,
+    simulate_two_branch, simulate_two_branch_batched, CostModel, LatencyReport, MeasuredStages,
+    MemoryReport,
 };
 
 use crate::deploy::DeploymentPlan;
 use crate::pruning::PruneConfig;
 use crate::serve::ServeReport;
 use crate::{CoreError, Result};
-
-/// Exhaustive batch-assignment search is used while the choice product
-/// stays under this bound; larger fleets fall back to the greedy ascent.
-const EXHAUSTIVE_ASSIGNMENT_LIMIT: usize = 1 << 14;
 
 /// A service-level objective for one deployed model.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -172,7 +160,7 @@ pub struct CandidatePlan {
 
 impl CandidatePlan {
     /// Seconds the secure world is busy per *request* — the planner's
-    /// objective and the fleet capacity denominator.
+    /// objective and the denominator of [`CandidatePlan::max_qps`].
     pub fn occupancy_per_request_s(&self) -> f64 {
         self.latency.secure_occupancy_s() / self.batch as f64
     }
@@ -352,493 +340,6 @@ pub fn optimize_deployment(
 }
 
 // ---------------------------------------------------------------------------
-// Fleet packing.
-// ---------------------------------------------------------------------------
-
-/// One tenant model plus its offered load, as the fleet packer sees it.
-#[derive(Debug, Clone)]
-pub struct TenantDemand {
-    /// Tenant label, carried into reports.
-    pub name: String,
-    /// The tenant's secure branch.
-    pub mt_spec: ModelSpec,
-    /// The tenant's unsecured branch.
-    pub mr_spec: ModelSpec,
-    /// Samples per REE→TEE crossing for this tenant.
-    pub batch: usize,
-    /// Offered load in requests per second.
-    pub qps: f64,
-}
-
-impl TenantDemand {
-    /// Builds a demand from an optimizer-chosen plan.
-    pub fn from_plan(name: &str, plan: &CandidatePlan, qps: f64) -> Self {
-        TenantDemand {
-            name: name.to_string(),
-            mt_spec: plan.mt_spec.clone(),
-            mr_spec: plan.mr_spec.clone(),
-            batch: plan.batch,
-            qps,
-        }
-    }
-}
-
-/// One secure world's share of a [`FleetPlan`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct WorldPlan {
-    /// Indices into the input tenant slice.
-    pub tenants: Vec<usize>,
-    /// Secure bytes the world's tenants occupy.
-    pub used_bytes: usize,
-    /// The world's byte budget.
-    pub budget_bytes: usize,
-    /// Σ qps·occupancy of the world's tenants — the fraction of the secure
-    /// world's time the offered load keeps busy (must stay ≤ 1).
-    pub compute_utilization: f64,
-}
-
-/// Result of [`plan_fleet`]: tenant models packed into secure worlds.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct FleetPlan {
-    /// Per-world assignments, in packing order.
-    pub worlds: Vec<WorldPlan>,
-}
-
-impl FleetPlan {
-    /// Number of secure worlds (enclaves) the mix needs.
-    pub fn world_count(&self) -> usize {
-        self.worlds.len()
-    }
-}
-
-/// Packs tenants into as few [`SecureWorld`]s as first-fit-decreasing
-/// achieves, honoring both constraints a real enclave imposes: the byte
-/// budget (checked by *actually loading* each tenant's batched secure
-/// branch into the world) and secure-time capacity (Σ qps·occupancy ≤ 1).
-///
-/// # Errors
-///
-/// [`CoreError::NoFeasiblePlan`] when a single tenant alone exceeds a
-/// world's byte budget or compute capacity (such a tenant must be sharded,
-/// which this planner does not do), plus spec/cost validation errors.
-pub fn plan_fleet(
-    tenants: &[TenantDemand],
-    cost: &CostModel,
-    world_budget_bytes: usize,
-) -> Result<FleetPlan> {
-    cost.validate().map_err(CoreError::Tee)?;
-    // Price every tenant once.
-    let mut priced: Vec<(usize, usize, f64)> = Vec::with_capacity(tenants.len()); // (idx, bytes, util)
-    for (i, t) in tenants.iter().enumerate() {
-        let report = simulate_two_branch_batched(&t.mt_spec, &t.mr_spec, cost, t.batch)?;
-        let occ_per_req = report.secure_occupancy_s() / t.batch.max(1) as f64;
-        let bytes = MemoryReport::for_secure_branch_batched(&t.mt_spec, t.batch)?.total();
-        let util = t.qps * occ_per_req;
-        if bytes > world_budget_bytes || util > 1.0 {
-            return Err(CoreError::NoFeasiblePlan {
-                explored: i + 1,
-                reason: format!(
-                    "tenant `{}` needs {} bytes (budget {}) at utilization {:.3}; \
-                     it must be sharded across worlds, which plan_fleet does not do",
-                    t.name, bytes, world_budget_bytes, util
-                ),
-            });
-        }
-        priced.push((i, bytes, util));
-    }
-    // First-fit-decreasing by footprint.
-    priced.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-    let mut worlds: Vec<(SecureWorld, WorldPlan)> = Vec::new();
-    for (idx, _, util) in priced {
-        let t = &tenants[idx];
-        let deployment = Deployment::SecureBranchBatched(t.batch);
-        let placed = worlds.iter_mut().find_map(|(world, plan)| {
-            if plan.compute_utilization + util > 1.0 {
-                return None;
-            }
-            match world.load_model(&t.mt_spec, deployment) {
-                Ok(_) => Some(plan),
-                Err(_) => None, // does not fit this world's remaining bytes
-            }
-        });
-        match placed {
-            Some(plan) => {
-                plan.tenants.push(idx);
-                plan.compute_utilization += util;
-            }
-            None => {
-                let mut world = SecureWorld::new(world_budget_bytes);
-                world.load_model(&t.mt_spec, deployment)?;
-                worlds.push((
-                    world,
-                    WorldPlan {
-                        tenants: vec![idx],
-                        used_bytes: 0,
-                        budget_bytes: world_budget_bytes,
-                        compute_utilization: util,
-                    },
-                ));
-            }
-        }
-    }
-    let worlds = worlds
-        .into_iter()
-        .map(|(world, mut plan)| {
-            plan.used_bytes = world.used();
-            plan
-        })
-        .collect();
-    Ok(FleetPlan { worlds })
-}
-
-// ---------------------------------------------------------------------------
-// Capacity curves.
-// ---------------------------------------------------------------------------
-
-/// One tenant's share of a traffic mix, for [`capacity_curve`].
-#[derive(Debug, Clone)]
-pub struct TenantMix {
-    /// Tenant label.
-    pub name: String,
-    /// The tenant's secure branch.
-    pub mt_spec: ModelSpec,
-    /// The tenant's unsecured branch.
-    pub mr_spec: ModelSpec,
-    /// Fraction of total traffic this tenant receives (normalized by the
-    /// curve builder).
-    pub fraction: f64,
-}
-
-/// One point of a capacity curve.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct CapacityPoint {
-    /// Secure-memory budget of this point, bytes.
-    pub budget_bytes: usize,
-    /// Max sustained aggregate QPS at this budget (0.0 when infeasible).
-    pub qps: f64,
-    /// Per-tenant batch sizes achieving it (input order).
-    pub batches: Vec<usize>,
-    /// Whether any batch assignment fit the budget.
-    pub feasible: bool,
-}
-
-/// Max sustained QPS as a function of the secure-memory budget.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct CapacityCurve {
-    /// Points in ascending budget order.
-    pub points: Vec<CapacityPoint>,
-}
-
-impl CapacityCurve {
-    /// Largest sustained QPS on the curve.
-    pub fn max_qps(&self) -> f64 {
-        self.points.iter().fold(0.0, |m, p| f64::max(m, p.qps))
-    }
-
-    /// The curve's knee: the smallest budget reaching ≥ 95 % of the curve
-    /// maximum — the point past which more secure memory stops paying.
-    /// `None` when no point is feasible.
-    pub fn knee(&self) -> Option<&CapacityPoint> {
-        let target = 0.95 * self.max_qps();
-        if target <= 0.0 {
-            return None;
-        }
-        self.points.iter().find(|p| p.feasible && p.qps >= target)
-    }
-}
-
-/// Sweeps secure-memory budgets for the best batch assignment per budget:
-/// maximize aggregate `QPS = 1 / Σ fraction·occupancy_per_request(batch)`
-/// subject to `Σ footprint(batch) ≤ budget`. Larger batches amortize world
-/// switches but cost linearly more secure memory, so each budget picks its
-/// own trade-off — the curve is the pareto front the operator reads.
-///
-/// While the assignment product `batch_choices^tenants` stays under 2^14
-/// the search is exhaustive (which makes the curve provably monotone in
-/// the budget: a larger budget's feasible set contains the smaller's);
-/// beyond that a greedy batch-upgrade ascent is used.
-///
-/// # Errors
-///
-/// Config validation errors for an empty mix, empty budget/batch lists or
-/// non-positive fractions, plus spec/cost validation errors.
-pub fn capacity_curve(
-    mix: &[TenantMix],
-    cost: &CostModel,
-    budgets: &[usize],
-    batch_choices: &[usize],
-) -> Result<CapacityCurve> {
-    cost.validate().map_err(CoreError::Tee)?;
-    if mix.is_empty() || budgets.is_empty() || batch_choices.is_empty() {
-        return Err(CoreError::InvalidConfig {
-            field: "capacity_curve",
-            reason: "need at least one tenant, one budget and one batch choice".into(),
-        });
-    }
-    if batch_choices.contains(&0) {
-        return Err(CoreError::InvalidConfig {
-            field: "batch_choices",
-            reason: "batch sizes must be non-zero".into(),
-        });
-    }
-    let total_fraction: f64 = mix.iter().map(|t| t.fraction).sum();
-    let fractions_valid =
-        total_fraction.is_finite() && total_fraction > 0.0 && mix.iter().all(|t| t.fraction >= 0.0);
-    if !fractions_valid {
-        return Err(CoreError::InvalidConfig {
-            field: "fraction",
-            reason: "tenant fractions must be non-negative and sum above zero".into(),
-        });
-    }
-
-    // Price every (tenant, batch) pair once: (occupancy per request, bytes).
-    let mut table: Vec<Vec<(f64, usize)>> = Vec::with_capacity(mix.len());
-    for t in mix {
-        let mut row = Vec::with_capacity(batch_choices.len());
-        for &b in batch_choices {
-            let report = simulate_two_branch_batched(&t.mt_spec, &t.mr_spec, cost, b)?;
-            let occ = report.secure_occupancy_s() / b as f64;
-            let bytes = MemoryReport::for_secure_branch_batched(&t.mt_spec, b)?.total();
-            row.push((occ, bytes));
-        }
-        table.push(row);
-    }
-    let fractions: Vec<f64> = mix.iter().map(|t| t.fraction / total_fraction).collect();
-
-    let combos = batch_choices
-        .len()
-        .checked_pow(mix.len() as u32)
-        .unwrap_or(usize::MAX);
-    let mut budgets = budgets.to_vec();
-    budgets.sort_unstable();
-    let points = budgets
-        .into_iter()
-        .map(|budget| {
-            let assignment = if combos <= EXHAUSTIVE_ASSIGNMENT_LIMIT {
-                best_assignment_exhaustive(&table, &fractions, budget)
-            } else {
-                best_assignment_greedy(&table, &fractions, budget)
-            };
-            match assignment {
-                Some((choice, qps)) => CapacityPoint {
-                    budget_bytes: budget,
-                    qps,
-                    batches: choice.iter().map(|&c| batch_choices[c]).collect(),
-                    feasible: true,
-                },
-                None => CapacityPoint {
-                    budget_bytes: budget,
-                    qps: 0.0,
-                    batches: Vec::new(),
-                    feasible: false,
-                },
-            }
-        })
-        .collect();
-    Ok(CapacityCurve { points })
-}
-
-fn assignment_qps(table: &[Vec<(f64, usize)>], fractions: &[f64], choice: &[usize]) -> f64 {
-    let weighted_occ: f64 = choice
-        .iter()
-        .enumerate()
-        .map(|(t, &c)| fractions[t] * table[t][c].0)
-        .sum();
-    if weighted_occ > 0.0 {
-        1.0 / weighted_occ
-    } else {
-        0.0
-    }
-}
-
-fn assignment_bytes(table: &[Vec<(f64, usize)>], choice: &[usize]) -> usize {
-    choice.iter().enumerate().map(|(t, &c)| table[t][c].1).sum()
-}
-
-fn best_assignment_exhaustive(
-    table: &[Vec<(f64, usize)>],
-    fractions: &[f64],
-    budget: usize,
-) -> Option<(Vec<usize>, f64)> {
-    let choices = table[0].len();
-    let mut choice = vec![0usize; table.len()];
-    let mut best: Option<(Vec<usize>, f64)> = None;
-    loop {
-        if assignment_bytes(table, &choice) <= budget {
-            let qps = assignment_qps(table, fractions, &choice);
-            if best.as_ref().is_none_or(|(_, b)| qps > *b) {
-                best = Some((choice.clone(), qps));
-            }
-        }
-        // Odometer increment over the assignment product.
-        let mut i = 0;
-        loop {
-            if i == choice.len() {
-                return best;
-            }
-            choice[i] += 1;
-            if choice[i] < choices {
-                break;
-            }
-            choice[i] = 0;
-            i += 1;
-        }
-    }
-}
-
-fn best_assignment_greedy(
-    table: &[Vec<(f64, usize)>],
-    fractions: &[f64],
-    budget: usize,
-) -> Option<(Vec<usize>, f64)> {
-    // Start every tenant at its cheapest-bytes choice.
-    let mut choice: Vec<usize> = table
-        .iter()
-        .map(|row| {
-            row.iter()
-                .enumerate()
-                .min_by(|a, b| a.1 .1.cmp(&b.1 .1).then(a.0.cmp(&b.0)))
-                .map(|(i, _)| i)
-                .unwrap_or(0)
-        })
-        .collect();
-    if assignment_bytes(table, &choice) > budget {
-        return None;
-    }
-    // Repeatedly apply the single-tenant upgrade with the best occupancy
-    // gain per extra byte that still fits.
-    loop {
-        let current_bytes = assignment_bytes(table, &choice);
-        let mut best_move: Option<(usize, usize, f64)> = None; // (tenant, choice, gain/byte)
-        for (t, row) in table.iter().enumerate() {
-            let (cur_occ, cur_bytes) = row[choice[t]];
-            for (c, &(occ, bytes)) in row.iter().enumerate() {
-                if occ >= cur_occ {
-                    continue;
-                }
-                let extra = bytes.saturating_sub(cur_bytes);
-                if current_bytes + extra > budget {
-                    continue;
-                }
-                let gain = fractions[t] * (cur_occ - occ) / extra.max(1) as f64;
-                if best_move.as_ref().is_none_or(|&(_, _, g)| gain > g) {
-                    best_move = Some((t, c, gain));
-                }
-            }
-        }
-        match best_move {
-            Some((t, c, _)) => choice[t] = c,
-            None => break,
-        }
-    }
-    let qps = assignment_qps(table, fractions, &choice);
-    Some((choice, qps))
-}
-
-// ---------------------------------------------------------------------------
-// Cross-tenant scheduling.
-// ---------------------------------------------------------------------------
-
-/// One batched secure-world crossing in a [`FleetSchedule`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ScheduleSlot {
-    /// Index into the tenant slice.
-    pub tenant: usize,
-    /// Samples carried by this crossing.
-    pub batch: usize,
-}
-
-/// A deterministic batched cross-tenant schedule.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct FleetSchedule {
-    /// Crossings in execution order.
-    pub slots: Vec<ScheduleSlot>,
-    /// REE→TEE world switches the schedule performs.
-    pub switches: u64,
-    /// Switches the same traffic would cost unbatched (one request per
-    /// crossing) — the amortization baseline.
-    pub unbatched_switches: u64,
-}
-
-impl FleetSchedule {
-    /// Builds the round-robin batched schedule for the given per-tenant
-    /// request counts: tenants take turns emitting one full (or final
-    /// partial) batch until every request is scheduled. Round-robin bounds
-    /// each tenant's inter-service gap, which is what keeps per-tenant tail
-    /// latency flat while batching amortizes the switch cost.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::InvalidConfig`] when `requests` and `tenants` lengths
-    /// disagree, plus spec validation errors (unit counts set the switch
-    /// cost per crossing).
-    pub fn round_robin(tenants: &[TenantDemand], requests: &[u64]) -> Result<FleetSchedule> {
-        if tenants.len() != requests.len() {
-            return Err(CoreError::InvalidConfig {
-                field: "requests",
-                reason: format!(
-                    "got {} request counts for {} tenants",
-                    requests.len(),
-                    tenants.len()
-                ),
-            });
-        }
-        // Switches per crossing: one per unit plus the input delivery.
-        let per_crossing: Vec<u64> = tenants
-            .iter()
-            .map(|t| t.mt_spec.units.len() as u64 + 1)
-            .collect();
-        let mut remaining = requests.to_vec();
-        let mut slots = Vec::new();
-        let mut switches = 0u64;
-        while remaining.iter().any(|&r| r > 0) {
-            for (t, rem) in remaining.iter_mut().enumerate() {
-                if *rem == 0 {
-                    continue;
-                }
-                let batch = (tenants[t].batch.max(1) as u64).min(*rem);
-                *rem -= batch;
-                slots.push(ScheduleSlot {
-                    tenant: t,
-                    batch: batch as usize,
-                });
-                switches += per_crossing[t];
-            }
-        }
-        let unbatched_switches = requests
-            .iter()
-            .zip(&per_crossing)
-            .map(|(&r, &s)| r * s)
-            .sum();
-        Ok(FleetSchedule {
-            slots,
-            switches,
-            unbatched_switches,
-        })
-    }
-
-    /// Requests the schedule serves per tenant (conservation check: equals
-    /// the requested counts).
-    pub fn served_per_tenant(&self, tenants: usize) -> Vec<u64> {
-        let mut served = vec![0u64; tenants];
-        for s in &self.slots {
-            served[s.tenant] += s.batch as u64;
-        }
-        served
-    }
-
-    /// World-switch amortization over the unbatched baseline (≥ 1.0; equals
-    /// the mean batch size when every crossing is full).
-    pub fn amortization_factor(&self) -> f64 {
-        if self.switches == 0 {
-            1.0
-        } else {
-            self.unbatched_switches as f64 / self.switches as f64
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Live validation.
 // ---------------------------------------------------------------------------
 
@@ -863,7 +364,7 @@ pub struct LiveValidation {
 /// measured stage times: the calibrated simulator gives a serial floor
 /// (stage sum) and a pipelined ceiling (bottleneck stage), and the live
 /// number must land inside that bracket widened by `tolerance` on both
-/// sides. This is the planner's ground-truth hook — capacity curves are
+/// sides. This is the planner's ground-truth hook — its predictions are
 /// only trustworthy when live runs keep landing inside the bracket.
 ///
 /// # Errors
@@ -1070,130 +571,6 @@ mod tests {
             a.rollback,
             a.batch
         );
-    }
-
-    fn demand(name: &str, k: usize, r: usize, batch: usize, qps: f64) -> TenantDemand {
-        let v = victim();
-        TenantDemand {
-            name: name.into(),
-            mt_spec: pruned_spec(&v, 0.2, 2, k).unwrap(),
-            mr_spec: pruned_spec(&v, 0.2, 2, r).unwrap(),
-            batch,
-            qps,
-        }
-    }
-
-    #[test]
-    fn fleet_packing_respects_both_constraints() {
-        let cost = CostModel::raspberry_pi3();
-        let tenants: Vec<TenantDemand> = (0..6)
-            .map(|i| demand(&format!("t{i}"), 2, 1, 4, 10.0))
-            .collect();
-        let budget = 2 << 20;
-        let fleet = plan_fleet(&tenants, &cost, budget).unwrap();
-        assert!(!fleet.worlds.is_empty());
-        let mut seen = vec![false; tenants.len()];
-        for w in &fleet.worlds {
-            assert!(w.used_bytes <= w.budget_bytes);
-            assert!(w.compute_utilization <= 1.0 + 1e-12);
-            for &t in &w.tenants {
-                assert!(!seen[t], "tenant {t} placed twice");
-                seen[t] = true;
-            }
-        }
-        assert!(seen.iter().all(|&s| s), "every tenant placed");
-        // Oversized tenant rejected with the planner error.
-        let huge = vec![demand("huge", 0, 0, 64, 1.0)];
-        assert!(matches!(
-            plan_fleet(&huge, &cost, 1 << 16),
-            Err(CoreError::NoFeasiblePlan { .. })
-        ));
-    }
-
-    #[test]
-    fn capacity_curve_monotone_in_budget() {
-        let cost = CostModel::raspberry_pi3();
-        let v = victim();
-        let mix: Vec<TenantMix> = (0..3)
-            .map(|i| TenantMix {
-                name: format!("m{i}"),
-                mt_spec: pruned_spec(&v, 0.2, 2, 2 + i).unwrap(),
-                mr_spec: pruned_spec(&v, 0.2, 2, 1).unwrap(),
-                fraction: 1.0 + i as f64,
-            })
-            .collect();
-        let budgets: Vec<usize> = (1..=12).map(|i| i * (1 << 20)).collect();
-        let curve = capacity_curve(&mix, &cost, &budgets, &[1, 2, 4, 8, 16]).unwrap();
-        assert_eq!(curve.points.len(), budgets.len());
-        for pair in curve.points.windows(2) {
-            assert!(
-                pair[1].qps >= pair[0].qps - 1e-12,
-                "curve dipped: {} MB -> {:.1} qps, {} MB -> {:.1} qps",
-                pair[0].budget_bytes >> 20,
-                pair[0].qps,
-                pair[1].budget_bytes >> 20,
-                pair[1].qps
-            );
-        }
-        let knee = curve.knee().expect("some budget is feasible");
-        assert!(knee.qps >= 0.95 * curve.max_qps());
-        // The knee is the *first* such budget.
-        for p in &curve.points {
-            if p.budget_bytes < knee.budget_bytes {
-                assert!(p.qps < 0.95 * curve.max_qps());
-            } else {
-                break;
-            }
-        }
-    }
-
-    #[test]
-    fn greedy_assignment_stays_within_budget() {
-        // Force the greedy path with a tiny exhaustive limit stand-in: call
-        // the greedy directly on the table the curve would build.
-        let cost = CostModel::raspberry_pi3();
-        let v = victim();
-        let mt = pruned_spec(&v, 0.2, 2, 2).unwrap();
-        let batches = [1usize, 2, 4, 8];
-        let mut row = Vec::new();
-        for &b in &batches {
-            let rep = simulate_two_branch_batched(&mt, &v, &cost, b).unwrap();
-            let bytes = MemoryReport::for_secure_branch_batched(&mt, b)
-                .unwrap()
-                .total();
-            row.push((rep.secure_occupancy_s() / b as f64, bytes));
-        }
-        let table = vec![row.clone(), row];
-        let fractions = [0.5, 0.5];
-        let budget = 4 << 20;
-        let (choice, qps) = best_assignment_greedy(&table, &fractions, budget).unwrap();
-        assert!(assignment_bytes(&table, &choice) <= budget);
-        assert!(qps > 0.0);
-        // Greedy never beats exhaustive, and both fit the budget.
-        let (ex_choice, ex_qps) = best_assignment_exhaustive(&table, &fractions, budget).unwrap();
-        assert!(assignment_bytes(&table, &ex_choice) <= budget);
-        assert!(ex_qps >= qps - 1e-12);
-    }
-
-    #[test]
-    fn round_robin_schedule_conserves_requests() {
-        let tenants = vec![
-            demand("a", 2, 1, 4, 1.0),
-            demand("b", 3, 2, 8, 1.0),
-            demand("c", 1, 0, 3, 1.0),
-        ];
-        let requests = [10u64, 17, 4];
-        let sched = FleetSchedule::round_robin(&tenants, &requests).unwrap();
-        assert_eq!(sched.served_per_tenant(tenants.len()), requests.to_vec());
-        // No crossing exceeds its tenant's batch size.
-        for s in &sched.slots {
-            assert!(s.batch >= 1 && s.batch <= tenants[s.tenant].batch);
-        }
-        // Batching strictly amortizes switches for this traffic.
-        assert!(sched.switches < sched.unbatched_switches);
-        assert!(sched.amortization_factor() > 1.0);
-        // Length mismatch rejected.
-        assert!(FleetSchedule::round_robin(&tenants, &[1, 2]).is_err());
     }
 
     #[test]

@@ -31,8 +31,9 @@
 //! (answered, degraded, shed, or expired) — the in-flight registry makes
 //! completion a compare-and-remove, so worker/consumer/supervisor races
 //! cannot double-complete or lose a request. The integration suites
-//! (`tests/serve_runtime.rs`, `tests/serve_faults.rs`) assert this under
-//! seeded fault schedules, including a mid-run consumer crash.
+//! (`crates/core/tests/serve_runtime.rs`,
+//! `crates/core/tests/serve_faults.rs`) assert this under seeded fault
+//! schedules, including a mid-run consumer crash.
 //!
 //! Data still only flows REE→TEE: requeues and job announcements are
 //! control-plane supervisor traffic, never `M_T` activations.

@@ -7,8 +7,7 @@
 //! jittering, shifting and noising the prototype. A small CNN can learn the
 //! class structure — and, crucially for the TBNet experiments, accuracy
 //! degrades smoothly with less capacity or less training data, which is the
-//! property every table and figure of the paper measures. The substitution is
-//! documented in `DESIGN.md` §2.
+//! property every table and figure of the paper measures.
 //!
 //! # Example
 //!

@@ -7,9 +7,9 @@
 //! Identity skips connect each block's input to its output whenever the
 //! shapes match (stride 1, equal channels). The stage-entry blocks of stages
 //! 2 and 3 downsample (stride 2) and double the width; their shortcut is
-//! omitted (a common lightweight variant of option-A shortcuts — documented
-//! in `DESIGN.md`). Residually-connected units share a pruning *group* so the
-//! TBNet channel masks keep the additions shape-consistent.
+//! omitted (a common lightweight variant of option-A shortcuts).
+//! Residually-connected units share a pruning *group* so the TBNet channel
+//! masks keep the additions shape-consistent.
 
 use crate::{HeadSpec, ModelSpec, UnitSpec};
 

@@ -3,8 +3,8 @@
 //! The paper evaluates "VGG18" — an 18-weight-layer VGG variant (17
 //! convolutions plus the classifier). [`vgg18`] reproduces that at CIFAR
 //! scale, and [`vgg_tiny`] is the width/depth-scaled variant the experiment
-//! harness trains in CPU-minutes (see `DESIGN.md` §2 for the substitution
-//! argument).
+//! harness trains in CPU-minutes on the synthetic CIFAR-like data of
+//! `tbnet_data` (whose crate docs give the substitution argument).
 
 use crate::{HeadSpec, ModelSpec, UnitSpec};
 

@@ -25,9 +25,6 @@
 //! `BackendKind::Naive` reproduces the single-threaded reference
 //! arithmetic; `BackendKind::Parallel` runs the blocked/threaded kernels.
 //!
-//! (An earlier draft kept a stray `src/README.md` beside the sources; its
-//! contents are folded into these module docs.)
-//!
 //! # Example
 //!
 //! ```

@@ -12,7 +12,8 @@ use crate::{Result, TeeError};
 /// partition and secure-memory access overheads), world switches cost tens of
 /// microseconds, and REE↔TEE data moves through shared memory at a bounded
 /// rate. Absolute numbers are estimates; the experiments only rely on the
-/// *ratios*, which is also all the paper claims (see `EXPERIMENTS.md`).
+/// *ratios*, which is also all the paper claims (its reference values are
+/// in `crates/bench/src/reports.rs`).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CostModel {
     /// Rich-world throughput in multiply-accumulates per second.

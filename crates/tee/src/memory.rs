@@ -229,4 +229,19 @@ mod tests {
         let rp = MemoryReport::for_secure_branch(&pruned).unwrap();
         assert!(rp.total() < rf.total());
     }
+
+    #[test]
+    fn batched_deployment_scales_working_set_not_weights() {
+        let spec = vgg::vgg_tiny(10, 3, (16, 16));
+        let one = MemoryReport::for_secure_branch(&spec).unwrap();
+        let four = MemoryReport::for_secure_branch_batched(&spec, 4).unwrap();
+        assert_eq!(four.weight_bytes, one.weight_bytes);
+        assert_eq!(four.activation_bytes, 4 * one.activation_bytes);
+        assert_eq!(four.merge_buffer_bytes, 4 * one.merge_buffer_bytes);
+        // Batch 1 is exactly the unbatched deployment.
+        assert_eq!(
+            MemoryReport::for_secure_branch_batched(&spec, 1).unwrap(),
+            one
+        );
+    }
 }

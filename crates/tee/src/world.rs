@@ -25,11 +25,6 @@ pub enum Deployment {
     /// Only the TBNet secure branch runs inside the TEE; a merge staging
     /// buffer is added for the incoming REE feature maps.
     SecureBranch,
-    /// The secure branch serving `batch` samples per channel crossing:
-    /// weights are shared but the working activations and merge staging
-    /// buffers hold the whole batch. This is what the capacity planner
-    /// charges when it packs batched tenants into a world.
-    SecureBranchBatched(usize),
 }
 
 #[derive(Debug)]
@@ -70,9 +65,6 @@ impl SecureWorld {
         let report = match deployment {
             Deployment::Baseline => MemoryReport::for_baseline(spec)?,
             Deployment::SecureBranch => MemoryReport::for_secure_branch(spec)?,
-            Deployment::SecureBranchBatched(batch) => {
-                MemoryReport::for_secure_branch_batched(spec, batch)?
-            }
         };
         self.ledger.allocate(report.total())?;
         let id = self.next_id;
@@ -186,27 +178,6 @@ mod tests {
         let branch = world.footprint(hs).unwrap();
         assert_eq!(base.merge_buffer_bytes, 0);
         assert!(branch.merge_buffer_bytes > 0);
-    }
-
-    #[test]
-    fn batched_deployment_scales_working_set_not_weights() {
-        let mut world = SecureWorld::new(256 * 1024 * 1024);
-        let spec = vgg::vgg_tiny(10, 3, (16, 16));
-        let h1 = world.load_model(&spec, Deployment::SecureBranch).unwrap();
-        let one = world.footprint(h1).unwrap();
-        let h4 = world
-            .load_model(&spec, Deployment::SecureBranchBatched(4))
-            .unwrap();
-        let four = world.footprint(h4).unwrap();
-        assert_eq!(four.weight_bytes, one.weight_bytes);
-        assert_eq!(four.activation_bytes, 4 * one.activation_bytes);
-        assert_eq!(four.merge_buffer_bytes, 4 * one.merge_buffer_bytes);
-        // Batch 1 is exactly the unbatched deployment.
-        let hb1 = world
-            .load_model(&spec, Deployment::SecureBranchBatched(1))
-            .unwrap();
-        assert_eq!(world.footprint(hb1).unwrap(), one);
-        assert_eq!(world.loaded_models(), 3);
     }
 
     #[test]

@@ -61,7 +61,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     println!("  reduction: {:.2}x", mem.reduction_factor());
 
-    // --- World-switch-cost sensitivity (DESIGN.md ablation 4). ---
+    // --- World-switch-cost sensitivity (ablation 4 of `bin/ablations`). ---
     println!("\nworld-switch cost sensitivity (TBNet total latency):");
     for switch_us in [10.0, 60.0, 200.0, 1000.0] {
         let mut c = CostModel::raspberry_pi3();

@@ -68,9 +68,9 @@ def load_rows(path: str) -> dict[str, float]:
             rows[key] = float(row["value_ms"])
         elif "plan" in row:
             # capacity-planner report: gate the analytic cost-like metrics
-            # (occupancy, latency, footprint, knee budget, world count). These
-            # are priced against a fixed cost profile, so they are machine-
-            # exact; any drift is a planner/cost-model change, not noise.
+            # (occupancy, latency, footprint). These are priced against a
+            # fixed cost profile, so they are machine-exact; any drift is a
+            # planner/cost-model change, not noise.
             key = f'plan|{row["plan"]}|{row["metric"]}'
             rows[key] = float(row["value"])
         elif "arch" in row:
@@ -114,21 +114,6 @@ def main() -> int:
         type=float,
         default=None,
         help="fail unless the current report's int8_mr_speedup reaches this floor",
-    )
-    ap.add_argument(
-        "--min-knee-qps",
-        type=float,
-        default=None,
-        help="fail unless the planner report's knee_qps (capacity-curve knee "
-        "throughput, analytic hence machine-exact) reaches this floor",
-    )
-    ap.add_argument(
-        "--min-amortization",
-        type=float,
-        default=None,
-        help="fail unless the planner report's schedule_amortization "
-        "(world-switch savings of batched cross-tenant scheduling) "
-        "reaches this floor",
     )
     ap.add_argument(
         "--max-shed-rate",
@@ -192,8 +177,6 @@ def main() -> int:
         ("int8_top1_agreement", args.min_agreement),
         ("fused_speedup", args.min_fused_speedup),
         ("int8_mr_speedup", args.min_int8_speedup),
-        ("knee_qps", args.min_knee_qps),
-        ("schedule_amortization", args.min_amortization),
     ]
     ceilings = [
         ("healthy_shed_rate", args.max_shed_rate),

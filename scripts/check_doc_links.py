@@ -1,24 +1,27 @@
 #!/usr/bin/env python3
 """Dead-path check for the prose docs (ARCHITECTURE.md, README.md,
-docs/CAPACITY.md).
+docs/CAPACITY.md) and the doc comments of the Rust sources.
 
-The architecture docs anchor their explanations to concrete repo paths
+The docs anchor their explanations to concrete repo paths
 (`crates/core/src/dp_train.rs`, `tests/attack_parity.rs`, ...). A rename or
 move silently strands those references; this script fails CI when it finds
 one. Two kinds of references are checked:
 
 1. relative markdown link targets — ``[text](path)`` where the target has
-   no URL scheme and no leading ``#``; an in-page anchor suffix is stripped.
-   Resolved against the checked file's own directory (standard markdown
-   semantics, so docs in subdirectories link with ``../``);
+   no URL scheme, no leading ``#`` and no ``::`` (a rustdoc intra-doc link
+   such as ``[run](crate::pipeline::run_pipeline)``); an in-page anchor
+   suffix is stripped. Resolved against the checked file's own directory
+   (standard markdown semantics, so docs in subdirectories link with
+   ``../``);
 2. backtick-quoted repo paths — `` `crates/...` `` tokens that start with a
-   known top-level directory and contain a ``/``. Tokens with glob or
+   known top-level directory and contain a ``/``, and `` `NAME.md` ``
+   tokens naming a root-level Markdown file. Tokens with glob or
    placeholder characters (``*``, ``<``, ``{``) are skipped, and a
    ``path:line`` suffix is stripped. Always resolved against the repo root
-   (this script's parent directory), wherever the checked doc lives.
+   (this script's parent directory), wherever the checked file lives.
 
 Usage:
-    check_doc_links.py FILE.md [FILE.md ...]
+    check_doc_links.py FILE [FILE ...]
 
 Exit status: 0 = all references resolve, 1 = dangling reference, 2 = a
 checked file itself is missing.
@@ -44,16 +47,20 @@ PATH_ROOTS = (
 
 MD_LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 BACKTICK = re.compile(r"`([^`\n]+)`")
+ROOT_MD = re.compile(r"[\w.-]+\.md")
 
 
 def candidate_paths(text: str) -> list[tuple[str, bool]]:
     """Extracts every checkable (path, is_repo_rooted) reference."""
     refs: set[tuple[str, bool]] = set()
     for target in MD_LINK.findall(text):
-        if "://" in target or target.startswith(("#", "mailto:")):
+        if "://" in target or "::" in target or target.startswith(("#", "mailto:")):
             continue
         refs.add((target.split("#", 1)[0], False))
     for token in BACKTICK.findall(text):
+        if ROOT_MD.fullmatch(token):
+            refs.add((token, True))
+            continue
         if not token.startswith(PATH_ROOTS) or "/" not in token:
             continue
         if any(ch in token for ch in "*<{ "):
