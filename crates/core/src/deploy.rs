@@ -9,23 +9,22 @@
 //! * **functional** — [`run_split_inference`] actually executes the split:
 //!   `M_R` runs "in the REE" producing feature maps that cross the
 //!   type-enforced one-way channel; the "TEE side" merges them into `M_T`
-//!   and classifies. Its logits must match [`TwoBranchModel::predict`]
-//!   exactly, which the tests assert.
+//!   and classifies. Its logits equal [`TwoBranchModel::predict_fused`] bit
+//!   for bit and the unfused [`TwoBranchModel::predict`] within 1e-4, which
+//!   the tests assert.
 
 use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 
 use tbnet_models::ModelSpec;
-use tbnet_nn::Mode;
-use tbnet_tee::channel::{one_way, ChannelStats};
+use tbnet_tee::channel::{one_way_bounded, ChannelStats};
 use tbnet_tee::{
     simulate_baseline, simulate_two_branch, CostModel, Deployment, LatencyReport, MemoryReport,
     SecureWorld,
 };
 use tbnet_tensor::Tensor;
 
-use crate::channels::gather_channels;
 use crate::{CoreError, Result, TwoBranchModel};
 
 /// The architectures of a finalized TBNet deployment plus the victim
@@ -218,7 +217,8 @@ pub struct SplitInference {
 /// `M_T`, extracting aligned channels and merging. Both sides run the
 /// BN-folded fused inference path ([`tbnet_models::Unit::forward_inference`]);
 /// `M_T` fuses each merge into its conv epilogue where its unit geometry
-/// allows.
+/// allows. The TEE side is the same merge step as
+/// [`TwoBranchModel::predict_fused`], so the logits equal it bit for bit.
 ///
 /// The data flow is exactly the paper's: nothing is ever sent TEE→REE (the
 /// channel type has no such method), and the TEE performs the per-unit
@@ -229,12 +229,13 @@ pub struct SplitInference {
 /// Returns shape errors when `images` disagree with the model geometry and
 /// [`CoreError::BranchMismatch`] if the channel underflows (impossible with
 /// congruent branches).
-#[allow(clippy::needless_range_loop)] // i drives units, channel payloads and align together
 pub fn run_split_inference(model: &mut TwoBranchModel, images: &Tensor) -> Result<SplitInference> {
     let n = model.unit_count();
-    let (tx, rx) = one_way::<Tensor>();
+    // Sized for every payload: the REE side sends all of them before the
+    // TEE side receives any, so a send never blocks.
+    let (tx, rx) = one_way_bounded::<Tensor>(n + 1);
     let t_start = Instant::now();
-    let (mut ree_ms, mut transfer_ms, mut tee_ms, mut merge_ms) = (0.0, 0.0, 0.0, 0.0);
+    let (mut ree_ms, mut transfer_ms) = (0.0, 0.0);
 
     // ---- REE side: run M_R and stream every feature map. ----
     {
@@ -243,9 +244,9 @@ pub fn run_split_inference(model: &mut TwoBranchModel, images: &Tensor) -> Resul
         let t = Instant::now();
         tx.send(images.clone(), images.numel() * 4);
         transfer_ms += ms_since(t);
-        for i in 0..n {
+        for unit in mr.units_mut() {
             let t = Instant::now();
-            r = mr.units_mut()[i].forward_inference(&r, None, None)?;
+            r = unit.forward_inference(&r, None, None)?;
             ree_ms += ms_since(t);
             let t = Instant::now();
             tx.send(r.clone(), r.numel() * 4);
@@ -253,47 +254,28 @@ pub fn run_split_inference(model: &mut TwoBranchModel, images: &Tensor) -> Resul
         }
     }
 
-    // ---- TEE side: run M_T over merged feature maps. ----
-    let align: Vec<Option<Vec<usize>>> = model.align().to_vec();
-    let mt = model.mt_mut();
-    let t = Instant::now();
-    let mut m = rx.recv().ok_or_else(|| CoreError::BranchMismatch {
-        reason: "channel underflow: missing input payload".into(),
-    })?;
-    transfer_ms += ms_since(t);
-    let mut merged_outs: Vec<Tensor> = Vec::with_capacity(n);
-    for i in 0..n {
+    // ---- TEE side: merge every received feature map into M_T. ----
+    let mut recv = || {
         let t = Instant::now();
-        let r_out = rx.recv().ok_or_else(|| CoreError::BranchMismatch {
-            reason: format!("channel underflow at unit {i}"),
-        })?;
+        let payload = rx.recv();
         transfer_ms += ms_since(t);
-        let t = Instant::now();
-        let r_sel = match &align[i] {
-            None => r_out,
-            Some(idx) => gather_channels(&r_out, idx)?,
-        };
-        merge_ms += ms_since(t);
-        let skip = mt.units()[i]
-            .spec()
-            .skip_from
-            .map(|j| merged_outs[j].clone());
-        let t = Instant::now();
-        m = mt.units_mut()[i].forward_inference(&m, skip.as_ref(), Some(&r_sel))?;
-        tee_ms += ms_since(t);
-        merged_outs.push(m.clone());
+        payload.ok_or_else(|| CoreError::BranchMismatch {
+            reason: "channel underflow: fewer payloads than M_T units".into(),
+        })
+    };
+    let mut step = model.secure_forward(recv()?);
+    for _ in 0..n {
+        step.push(&recv()?)?;
     }
-    let t = Instant::now();
-    let logits = mt.head_mut().forward(&m, Mode::Eval)?;
-    tee_ms += ms_since(t);
+    let (logits, tee, merge) = step.finish()?;
     Ok(SplitInference {
         logits,
         channel: tx.stats(),
         timings: SplitTimings {
             ree_ms,
             transfer_ms,
-            tee_ms,
-            merge_ms,
+            tee_ms: tee.as_secs_f64() * 1e3,
+            merge_ms: merge.as_secs_f64() * 1e3,
             total_ms: ms_since(t_start),
         },
     })

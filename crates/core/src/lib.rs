@@ -58,7 +58,6 @@ pub mod attack;
 pub mod baselines;
 pub mod deploy;
 pub mod dp_train;
-pub mod parallel;
 pub mod persist;
 pub mod pipeline;
 pub mod planner;

@@ -47,7 +47,6 @@ use std::time::{Duration, Instant};
 use serde::{Deserialize, Serialize};
 
 use tbnet_models::{ChainNet, ModelSpec};
-use tbnet_nn::Mode;
 use tbnet_tee::channel::{one_way_bounded, RecvError, ReeSender, SendError, TeeReceiver};
 use tbnet_tee::{
     calibrate_cost_model, checksum_f32, corrupt_f32, simulate_two_branch, ConsumerFault, CostModel,
@@ -55,7 +54,7 @@ use tbnet_tee::{
 };
 use tbnet_tensor::Tensor;
 
-use crate::channels::gather_channels;
+use crate::two_branch::SecureForward;
 use crate::{CoreError, Result, TwoBranchModel};
 
 /// Tuning knobs of the serving runtime. [`ServeConfig::default`] is sized
@@ -247,7 +246,7 @@ pub struct ServeMetrics {
     pub transfer_ns: u64,
     /// TEE `M_T` unit-forward and head nanoseconds.
     pub tee_ns: u64,
-    /// TEE-side checksum verification and aligned-channel extraction.
+    /// TEE-side aligned-channel extraction before each merge.
     pub merge_ns: u64,
     /// Batch-formation-to-classification wall clock, summed per batch.
     pub makespan_ns: u64,
@@ -813,7 +812,6 @@ fn recv_payload(
 
 /// Receives one batch's payload stream, runs the merged `M_T` forward and
 /// returns the logits plus (tee, merge) stage nanoseconds.
-#[allow(clippy::needless_range_loop)] // i drives units, payloads and align together
 fn consume_batch(
     shared: &Shared,
     mt: &mut ChainNet,
@@ -821,37 +819,15 @@ fn consume_batch(
     rx: &TeeReceiver<Payload>,
 ) -> std::result::Result<(Tensor, u64, u64), ConsumeFail> {
     let n = mt.units().len();
-    let mut tee_ns = 0u64;
-    let mut merge_ns = 0u64;
-    let mut m = recv_payload(shared, rx)?;
-    let mut merged_outs: Vec<Tensor> = Vec::with_capacity(n);
-    for i in 0..n {
-        let r_out = recv_payload(shared, rx)?;
-        let t = Instant::now();
-        let r_sel = match &align[i] {
-            None => r_out,
-            Some(idx) => gather_channels(&r_out, idx)
-                .expect("alignment validated against the deployed branches"),
-        };
-        merge_ns += t.elapsed().as_nanos() as u64;
-        let skip = mt.units()[i]
-            .spec()
-            .skip_from
-            .map(|j| merged_outs[j].clone());
-        let t = Instant::now();
-        m = mt.units_mut()[i]
-            .forward_inference(&m, skip.as_ref(), Some(&r_sel))
-            .expect("M_T unit forward on validated geometry");
-        tee_ns += t.elapsed().as_nanos() as u64;
-        merged_outs.push(m.clone());
+    let mut step = SecureForward::new(mt, align, recv_payload(shared, rx)?);
+    for _ in 0..n {
+        step.push(&recv_payload(shared, rx)?)
+            .expect("merge and M_T unit forward on validated geometry");
     }
-    let t = Instant::now();
-    let logits = mt
-        .head_mut()
-        .forward(&m, Mode::Eval)
+    let (logits, tee, merge) = step
+        .finish()
         .expect("M_T head forward on validated geometry");
-    tee_ns += t.elapsed().as_nanos() as u64;
-    Ok((logits, tee_ns, merge_ns))
+    Ok((logits, tee.as_nanos() as u64, merge.as_nanos() as u64))
 }
 
 fn consumer_loop(shared: &Arc<Shared>, mut mt: ChainNet, align: Vec<Option<Vec<usize>>>) {
@@ -1100,8 +1076,9 @@ impl ServeEngine {
     ///
     /// # Errors
     ///
-    /// [`CoreError::InvalidConfig`] after shutdown began or for a
-    /// non-single-sample shape.
+    /// [`CoreError::InvalidConfig`] after shutdown began, or for any shape
+    /// other than one sample of the deployed input geometry. A rejected
+    /// request is neither registered nor counted as admitted.
     pub fn submit_with_deadline(&self, image: &Tensor, deadline: Duration) -> Result<u64> {
         if self.shared.closed.load(Ordering::Acquire) {
             return Err(CoreError::InvalidConfig {
@@ -1109,20 +1086,16 @@ impl ServeEngine {
                 reason: "the engine is shutting down".into(),
             });
         }
-        let image = match image.dims() {
-            [c, h, w] => {
-                let mut t = Tensor::zeros(&[1, *c, *h, *w]);
-                t.as_mut_slice().copy_from_slice(image.as_slice());
-                t
-            }
-            [1, _, _, _] => image.clone(),
-            dims => {
-                return Err(CoreError::InvalidConfig {
-                    field: "submit",
-                    reason: format!("expected [C,H,W] or [1,C,H,W], got {dims:?}"),
-                })
-            }
-        };
+        let spec = &self.shared.mt_spec;
+        let (c, (h, w)) = (spec.in_channels, spec.input_hw);
+        let dims = image.dims();
+        if dims != [c, h, w] && dims != [1, c, h, w] {
+            return Err(CoreError::InvalidConfig {
+                field: "submit",
+                reason: format!("expected [{c}, {h}, {w}] or [1, {c}, {h}, {w}], got {dims:?}"),
+            });
+        }
+        let image = image.reshape(&[1, c, h, w])?;
         let id = self.shared.next_id.fetch_add(1, Ordering::Relaxed);
         let now = Instant::now();
         lock(&self.shared.registry).insert(

@@ -12,8 +12,8 @@ use serde::{Deserialize, Serialize};
 
 use tbnet_data::ImageDataset;
 use tbnet_models::ChainNet;
-use tbnet_nn::metrics::accuracy;
-use tbnet_nn::{Layer, Mode};
+use tbnet_nn::metrics::{accuracy, RunningMean};
+use tbnet_tensor::Tensor;
 
 use crate::dp_train::{fit, WorkerPolicy};
 use crate::{CoreError, Result};
@@ -114,20 +114,35 @@ pub fn train_victim_with_workers(
         .collect())
 }
 
-/// Evaluates a [`ChainNet`] on a dataset (eval mode, batched to bound
-/// memory). Returns top-1 accuracy in `[0, 1]`.
+/// Evaluates a [`ChainNet`] on a dataset through the fused inference path
+/// ([`ChainNet::predict_inference`]). Returns top-1 accuracy in `[0, 1]`.
 ///
 /// # Errors
 ///
 /// Returns shape errors when the dataset geometry disagrees with the model.
 pub fn evaluate(net: &mut ChainNet, data: &ImageDataset) -> Result<f32> {
-    let chunk = 64usize;
-    crate::parallel::parallel_eval(&*net, data.len(), chunk, |worker, range| {
-        let idx: Vec<usize> = range.collect();
-        let batch = data.gather(&idx);
-        let logits = worker.forward(&batch.images, Mode::Eval)?;
-        Ok((accuracy(&logits, &batch.labels)?, batch.len()))
-    })
+    batched_accuracy(data, |images| Ok(net.predict_inference(images)?))
+}
+
+/// Samples per evaluation batch: bounds activation memory.
+const EVAL_BATCH: usize = 64;
+
+/// Top-1 accuracy of `predict` over `data`, run on the calling thread in
+/// batches of [`EVAL_BATCH`] samples (the kernels split each batch across
+/// the worker pool) and folded as the sample-weighted mean of the batch
+/// accuracies.
+pub(crate) fn batched_accuracy(
+    data: &ImageDataset,
+    mut predict: impl FnMut(&Tensor) -> Result<Tensor>,
+) -> Result<f32> {
+    let indices: Vec<usize> = (0..data.len()).collect();
+    let mut mean = RunningMean::new();
+    for chunk in indices.chunks(EVAL_BATCH) {
+        let batch = data.gather(chunk);
+        let logits = predict(&batch.images)?;
+        mean.add(accuracy(&logits, &batch.labels)?, batch.len());
+    }
+    Ok(mean.mean())
 }
 
 #[cfg(test)]

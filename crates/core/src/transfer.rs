@@ -21,10 +21,9 @@ use serde::{Deserialize, Serialize};
 use tbnet_data::ImageDataset;
 use tbnet_models::ChainNet;
 use tbnet_nn::loss::apply_bn_sparsity_penalty;
-use tbnet_nn::metrics::accuracy;
 
 use crate::dp_train::{fit, WorkerPolicy};
-use crate::train::TrainConfig;
+use crate::train::{batched_accuracy, TrainConfig};
 use crate::{Result, TwoBranchModel};
 
 /// Hyper-parameters of the knowledge-transfer optimization.
@@ -145,19 +144,15 @@ pub fn train_two_branch_with_workers(
         .collect())
 }
 
-/// Evaluates the two-branch model on a dataset (eval mode, batched).
+/// Evaluates the two-branch model on a dataset through the deployed
+/// inference path ([`TwoBranchModel::predict_fused`]). Returns top-1
+/// accuracy in `[0, 1]`.
 ///
 /// # Errors
 ///
 /// Returns shape errors when the dataset disagrees with the model geometry.
 pub fn evaluate_two_branch(model: &mut TwoBranchModel, data: &ImageDataset) -> Result<f32> {
-    let chunk = 64usize;
-    crate::parallel::parallel_eval(&*model, data.len(), chunk, |worker, range| {
-        let idx: Vec<usize> = range.collect();
-        let batch = data.gather(&idx);
-        let logits = worker.predict(&batch.images)?;
-        Ok((accuracy(&logits, &batch.labels)?, batch.len()))
-    })
+    batched_accuracy(data, |images| model.predict_fused(images))
 }
 
 #[cfg(test)]
@@ -165,9 +160,11 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use tbnet_data::{DatasetKind, SyntheticCifar};
+    use tbnet_data::{DatasetKind, ImageDataset, SyntheticCifar};
     use tbnet_models::vgg;
-    use tbnet_tensor::par;
+    use tbnet_tensor::{init, par, Tensor};
+
+    use crate::train::evaluate;
 
     fn setup() -> (TwoBranchModel, SyntheticCifar) {
         let mut rng = StdRng::seed_from_u64(0);
@@ -280,5 +277,49 @@ mod tests {
             .sum::<f32>()
             / before.numel() as f32;
         assert!(head_drift < 1e-3, "unexpected head drift {head_drift}");
+    }
+
+    /// 70 random images labelled against `predict`'s own top-1 over the
+    /// evaluators' chunks — a full 64-sample batch, then a 6-sample tail:
+    /// every odd sample of the full batch is mislabelled and the tail is
+    /// all right (accuracies 0.5 and 1.0). Returns the dataset and its
+    /// number of correct labels.
+    fn ragged_case(mut predict: impl FnMut(&Tensor) -> Tensor) -> (ImageDataset, usize) {
+        let (classes, row) = (4, 3 * 8 * 8);
+        let images = init::randn(&[70, 3, 8, 8], 1.0, &mut StdRng::seed_from_u64(70));
+        let (mut labels, mut correct) = (Vec::new(), 0);
+        for (lo, hi) in [(0, 64), (64, 70)] {
+            let chunk = images.as_slice()[lo * row..hi * row].to_vec();
+            let logits = predict(&Tensor::from_vec(chunk, &[hi - lo, 3, 8, 8]).unwrap());
+            for (k, scores) in logits.as_slice().chunks(classes).enumerate() {
+                let top = (0..classes).fold(0, |b, j| if scores[j] > scores[b] { j } else { b });
+                let label = if lo == 0 && k % 2 == 1 {
+                    (top + 1) % classes
+                } else {
+                    top
+                };
+                correct += usize::from(label == top);
+                labels.push(label);
+            }
+        }
+        (ImageDataset::new(images, labels, classes).unwrap(), correct)
+    }
+
+    #[test]
+    fn evaluation_weights_ragged_batches_by_sample() {
+        let (mut tb, _) = setup();
+        let mut net = tb.mr().clone();
+        // A mean of the two batch accuracies would give (0.5 + 1.0) / 2.
+        let (data, correct) = ragged_case(|x| tb.predict_fused(x).unwrap());
+        assert_eq!(correct, 38);
+        let acc = evaluate_two_branch(&mut tb, &data).unwrap();
+        assert!(
+            (acc - correct as f32 / 70.0).abs() < 1e-6,
+            "two-branch {acc}"
+        );
+        let (data, correct) = ragged_case(|x| net.predict_inference(x).unwrap());
+        assert_eq!(correct, 38);
+        let acc = evaluate(&mut net, &data).unwrap();
+        assert!((acc - correct as f32 / 70.0).abs() < 1e-6, "chain {acc}");
     }
 }

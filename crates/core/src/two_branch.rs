@@ -14,6 +14,8 @@
 //! gathers the aligned subset of `M_R`'s channels (see
 //! [`crate::ChannelBook`]).
 
+use std::time::{Duration, Instant};
+
 use rand::Rng;
 
 use tbnet_models::{accumulate_grad, ChainNet, QuantBranch};
@@ -336,7 +338,11 @@ impl TwoBranchModel {
         Ok(self.mt.head_mut().forward(&m, mode)?)
     }
 
-    /// Convenience inference wrapper (eval mode).
+    /// The unfused reference inference: [`TwoBranchModel::forward`] in
+    /// eval mode, with BatchNorm unfolded and each merge a separate add.
+    /// Nothing deployed runs it; the parity suites check
+    /// [`TwoBranchModel::predict_fused`] (and with it split inference and
+    /// serving) against it within 1e-4.
     ///
     /// # Errors
     ///
@@ -348,46 +354,23 @@ impl TwoBranchModel {
     /// Inference fast path: both branches run BN-folded packed convolutions
     /// with fused bias/ReLU epilogues, `M_T` additionally fuses the
     /// two-branch merge into its conv epilogue whenever its unit has no
-    /// pooling, and pooling runs index-free. Equivalent to
+    /// pooling, and pooling runs index-free. `M_T`'s half is the same
+    /// per-unit step that split inference and serving run, so those
+    /// answers equal this one bit for bit. Equivalent to
     /// [`TwoBranchModel::predict`] up to f32 rounding of the folded
     /// weights.
     ///
     /// # Errors
     ///
     /// See [`TwoBranchModel::forward`].
-    #[allow(clippy::needless_range_loop)] // i indexes two branches and the align table
     pub fn predict_fused(&mut self, input: &Tensor) -> Result<Tensor> {
-        let n = self.unit_count();
-        let mut is_skip_src = vec![false; n];
-        for u in self.mt.units() {
-            if let Some(j) = u.spec().skip_from {
-                is_skip_src[j] = true;
-            }
-        }
-        let mut merged_outs: Vec<Option<Tensor>> = (0..n).map(|_| None).collect();
+        let mut step = SecureForward::new(&mut self.mt, &self.align, input.clone());
         let mut r = input.clone();
-        let mut m = input.clone();
-        for i in 0..n {
-            let r_out = self.mr.units_mut()[i].forward_inference(&r, None, None)?;
-            let r_sel = match &self.align[i] {
-                None => None,
-                Some(idx) => Some(gather_channels(&r_out, idx)?),
-            };
-            let merge = r_sel.as_ref().unwrap_or(&r_out);
-            let skip = self.mt.units()[i].spec().skip_from;
-            let skip = skip.and_then(|j| merged_outs[j].as_ref()).cloned();
-            let merged = self.mt.units_mut()[i]
-                .forward_inference(&m, skip.as_ref(), Some(merge))
-                .map_err(|e| CoreError::BranchMismatch {
-                    reason: format!("fused merge at unit {i} failed: {e}"),
-                })?;
-            if is_skip_src[i] {
-                merged_outs[i] = Some(merged.clone());
-            }
-            r = r_out;
-            m = merged;
+        for unit in self.mr.units_mut() {
+            r = unit.forward_inference(&r, None, None)?;
+            step.push(&r)?;
         }
-        Ok(self.mt.head_mut().forward(&m, Mode::Eval)?)
+        Ok(step.finish()?.0)
     }
 
     /// Inference with the int8 rich branch: `M_R` runs as a quantized
@@ -401,13 +384,15 @@ impl TwoBranchModel {
     ///
     /// See [`TwoBranchModel::forward`].
     pub fn predict_int8(&mut self, input: &Tensor) -> Result<Tensor> {
-        if self.qmr.is_none() {
-            self.qmr = Some(QuantBranch::from_chain(&self.mr)?);
+        self.quantized_branch()?;
+        let q = self.qmr.as_ref().expect("quantized branch just ensured");
+        let mut step = SecureForward::new(&mut self.mt, &self.align, input.clone());
+        let mut r = input.clone();
+        for i in 0..q.units().len() {
+            r = q.forward_unit(i, &r, None)?;
+            step.push(&r)?;
         }
-        let q = self.qmr.take().expect("quantized branch just ensured");
-        let result = self.predict_int8_with(&q, input);
-        self.qmr = Some(q);
-        result
+        Ok(step.finish()?.0)
     }
 
     /// The quantized `M_R` snapshot used by [`TwoBranchModel::predict_int8`],
@@ -423,39 +408,10 @@ impl TwoBranchModel {
         Ok(self.qmr.as_ref().expect("just ensured"))
     }
 
-    #[allow(clippy::needless_range_loop)] // i indexes two branches and the align table
-    fn predict_int8_with(&mut self, q: &QuantBranch, input: &Tensor) -> Result<Tensor> {
-        let n = self.unit_count();
-        let mut is_skip_src = vec![false; n];
-        for u in self.mt.units() {
-            if let Some(j) = u.spec().skip_from {
-                is_skip_src[j] = true;
-            }
-        }
-        let mut merged_outs: Vec<Option<Tensor>> = (0..n).map(|_| None).collect();
-        let mut r = input.clone();
-        let mut m = input.clone();
-        for i in 0..n {
-            let r_out = q.forward_unit(i, &r, None)?;
-            let r_sel = match &self.align[i] {
-                None => None,
-                Some(idx) => Some(gather_channels(&r_out, idx)?),
-            };
-            let merge = r_sel.as_ref().unwrap_or(&r_out);
-            let skip = self.mt.units()[i].spec().skip_from;
-            let skip = skip.and_then(|j| merged_outs[j].as_ref()).cloned();
-            let merged = self.mt.units_mut()[i]
-                .forward_inference(&m, skip.as_ref(), Some(merge))
-                .map_err(|e| CoreError::BranchMismatch {
-                    reason: format!("int8 merge at unit {i} failed: {e}"),
-                })?;
-            if is_skip_src[i] {
-                merged_outs[i] = Some(merged.clone());
-            }
-            r = r_out;
-            m = merged;
-        }
-        Ok(self.mt.head_mut().forward(&m, Mode::Eval)?)
+    /// Lends `M_T` and the merge alignment to a [`SecureForward`], for
+    /// split inference, whose `M_R` feature maps arrive over a channel.
+    pub(crate) fn secure_forward(&mut self, input: Tensor) -> SecureForward<'_> {
+        SecureForward::new(&mut self.mt, &self.align, input)
     }
 
     /// Backward pass through both branches, accumulating parameter
@@ -542,6 +498,89 @@ fn accumulate(slot: &mut Option<Tensor>, grad: Tensor, kind: BackendKind) -> Res
         None => *slot = Some(grad),
     }
     Ok(())
+}
+
+/// `M_T`'s half of one split inference (paper Fig. 1), fed one `M_R` unit
+/// output at a time. [`TwoBranchModel::predict_fused`],
+/// [`TwoBranchModel::predict_int8`], [`crate::deploy::run_split_inference`]
+/// and the serving runtime's TEE consumer all run it, so the merge has one
+/// implementation.
+pub(crate) struct SecureForward<'a> {
+    mt: &'a mut ChainNet,
+    align: &'a [Option<Vec<usize>>],
+    /// One entry per merged unit: its output if a later unit reads it as a
+    /// skip.
+    kept: Vec<Option<Tensor>>,
+    /// The merged stream: the input of the next `M_T` unit.
+    m: Tensor,
+    tee: Duration,
+    merge: Duration,
+}
+
+impl<'a> SecureForward<'a> {
+    /// Starts `M_T` on the network `input`.
+    pub(crate) fn new(
+        mt: &'a mut ChainNet,
+        align: &'a [Option<Vec<usize>>],
+        input: Tensor,
+    ) -> Self {
+        SecureForward {
+            kept: Vec::with_capacity(mt.units().len()),
+            mt,
+            align,
+            m: input,
+            tee: Duration::ZERO,
+            merge: Duration::ZERO,
+        }
+    }
+
+    /// Merges the next unit's `M_R` output: gathers the aligned channels
+    /// (step ⑥, timed as merge), then runs `M_T`'s unit with the merge
+    /// fused into its epilogue (timed as tee).
+    ///
+    /// # Errors
+    ///
+    /// Alignment errors from the gather, and [`CoreError::BranchMismatch`]
+    /// when `r_out` disagrees with the unit's geometry.
+    pub(crate) fn push(&mut self, r_out: &Tensor) -> Result<()> {
+        let i = self.kept.len();
+        let t = Instant::now();
+        let gathered = match &self.align[i] {
+            None => None,
+            Some(idx) => Some(gather_channels(r_out, idx)?),
+        };
+        self.merge += t.elapsed();
+        let skip = self.mt.units()[i].spec().skip_from;
+        let skip = skip.and_then(|j| self.kept[j].as_ref());
+        let merge = gathered.as_ref().unwrap_or(r_out);
+        let t = Instant::now();
+        let merged = self.mt.units_mut()[i]
+            .forward_inference(&self.m, skip, Some(merge))
+            .map_err(|e| CoreError::BranchMismatch {
+                reason: format!("merge at unit {i} failed: {e}"),
+            })?;
+        self.tee += t.elapsed();
+        let is_skip_source = self
+            .mt
+            .units()
+            .iter()
+            .any(|u| u.spec().skip_from == Some(i));
+        self.kept.push(is_skip_source.then(|| merged.clone()));
+        self.m = merged;
+        Ok(())
+    }
+
+    /// Runs `M_T`'s head (timed as tee) and returns the logits with the tee
+    /// and merge clocks.
+    ///
+    /// # Errors
+    ///
+    /// Returns shape errors when fewer units were pushed than `M_T` has.
+    pub(crate) fn finish(self) -> Result<(Tensor, Duration, Duration)> {
+        let t = Instant::now();
+        let logits = self.mt.head_mut().forward(&self.m, Mode::Eval)?;
+        Ok((logits, self.tee + t.elapsed(), self.merge))
+    }
 }
 
 /// Per-shard scratch of the two-branch data-parallel step: both branches'

@@ -5,7 +5,7 @@
 
 mod common;
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use tbnet_core::serve::{Outcome, ServeConfig, ServeEngine};
 use tbnet_tee::FaultPlan;
@@ -102,18 +102,41 @@ fn zero_deadline_requests_expire_and_burst_overload_sheds() {
 #[test]
 fn submit_rejects_non_single_sample_shapes() {
     let (artifacts, _) = common::fixture();
-    let engine = ServeEngine::start(
-        &artifacts.model,
-        ServeConfig::fast_test(),
-        FaultPlan::none(),
-    )
-    .unwrap();
+    let drain_timeout = Duration::from_secs(3);
+    let cfg = ServeConfig {
+        drain_timeout,
+        ..ServeConfig::fast_test()
+    };
+    let engine = ServeEngine::start(&artifacts.model, cfg, FaultPlan::none()).unwrap();
     let bad = tbnet_tensor::Tensor::zeros(&[2, 3, 8, 8]);
     assert!(engine.submit(&bad).is_err(), "batched submits are rejected");
     let bad = tbnet_tensor::Tensor::zeros(&[3, 8]);
     assert!(engine.submit(&bad).is_err(), "rank-2 submits are rejected");
+    // The deployed geometry is 3 × 8 × 8. A larger image passes every conv
+    // unit and would panic the TEE consumer at the head; a wrong channel
+    // count would panic the REE worker. Both are rejected at the boundary.
+    for dims in [[1, 3, 16, 16], [1, 4, 8, 8]] {
+        let bad = tbnet_tensor::Tensor::zeros(&dims);
+        assert!(engine.submit(&bad).is_err(), "{dims:?} is rejected");
+    }
+    // The runtime is intact: a valid request is answered by the TEE and
+    // shutdown drains without waiting for the hang guard.
+    let id = engine.submit(&common::test_image(0)).unwrap();
+    let t = Instant::now();
     let report = engine.shutdown();
-    assert_eq!(report.counts.admitted, 0);
+    assert!(
+        t.elapsed() < drain_timeout / 2,
+        "shutdown took {:?}",
+        t.elapsed()
+    );
+    assert_eq!(report.counts.admitted, 1);
+    assert_eq!(report.completions.len(), 1);
+    assert_eq!(report.completions[0].id, id);
+    assert!(
+        matches!(report.completions[0].outcome, Outcome::Answered { .. }),
+        "{:?}",
+        report.completions[0].outcome
+    );
 }
 
 #[test]

@@ -8,16 +8,14 @@
 //! [`TeeReceiver`], which has no send method. There is no way to construct
 //! the reverse pair.
 //!
-//! Two flavors exist:
-//!
-//! * [`one_way`] — unbounded, as the single-threaded
-//!   `deploy::run_split_inference` uses it (the sender fills the queue
-//!   completely before the receiver drains it, so a bound would deadlock);
-//! * [`one_way_bounded`] — capacity-limited shared memory for the concurrent
-//!   serving runtime: [`ReeSender::send`] blocks when the secure world falls
-//!   behind (backpressure instead of unbounded queue growth), and
-//!   [`ReeSender::send_timeout`] / [`TeeReceiver::recv_timeout`] bound every
-//!   wait so a stalled or crashed peer is detected instead of hung on.
+//! [`one_way_bounded`] creates the pair over capacity-limited shared memory:
+//! [`ReeSender::send`] blocks when the secure world falls behind
+//! (backpressure instead of unbounded queue growth), and
+//! [`ReeSender::send_timeout`] / [`TeeReceiver::recv_timeout`] bound every
+//! wait so a stalled or crashed peer is detected instead of hung on. The
+//! concurrent serving runtime sizes it for pipelining; the single-threaded
+//! `deploy::run_split_inference` sends every payload before it receives
+//! any, so it sizes the channel to hold them all.
 //!
 //! Endpoint drops are tracked: once every sender is gone the receiver gets
 //! [`RecvError::Disconnected`] after draining the queue, and once the
@@ -40,7 +38,7 @@ pub struct ChannelStats {
     /// Total payload bytes moved.
     pub bytes: u64,
     /// Deepest the shared-memory queue has ever been (backpressure
-    /// indicator: on a bounded channel a high-water mark at the capacity
+    /// indicator: a high-water mark at the capacity
     /// means the secure world was the bottleneck).
     pub high_water: u64,
     /// Payloads that never made it into the queue: rejected by
@@ -54,8 +52,8 @@ pub struct ChannelStats {
 /// can retry, reroute or degrade without recomputing it.
 #[derive(Debug, PartialEq, Eq)]
 pub enum SendError<T> {
-    /// The channel stayed full past the allowed wait (bounded channels
-    /// only). The secure world is stalled or overloaded.
+    /// The channel stayed full past the allowed wait. The secure world is
+    /// stalled or overloaded.
     TimedOut(T),
     /// The receiver endpoint was dropped; nothing will ever drain the queue.
     Disconnected(T),
@@ -92,8 +90,8 @@ struct State<T> {
 #[derive(Debug)]
 struct Shared<T> {
     state: Mutex<State<T>>,
-    /// Capacity of the shared-memory region; `None` means unbounded.
-    cap: Option<usize>,
+    /// Capacity of the shared-memory region, in payloads.
+    cap: usize,
     /// Signalled when a payload is enqueued or the last sender drops.
     not_empty: Condvar,
     /// Signalled when a payload is dequeued or the receiver drops.
@@ -119,41 +117,6 @@ pub struct TeeReceiver<T> {
     shared: Arc<Shared<T>>,
 }
 
-fn endpoints<T>(cap: Option<usize>) -> (ReeSender<T>, TeeReceiver<T>) {
-    let shared = Arc::new(Shared {
-        state: Mutex::new(State {
-            queue: VecDeque::new(),
-            stats: ChannelStats::default(),
-            senders: 1,
-            receiver_alive: true,
-        }),
-        cap,
-        not_empty: Condvar::new(),
-        not_full: Condvar::new(),
-    });
-    (
-        ReeSender {
-            shared: Arc::clone(&shared),
-        },
-        TeeReceiver { shared },
-    )
-}
-
-/// Creates an unbounded one-way channel, returning the rich-world sender and
-/// the secure-world receiver.
-///
-/// # Example
-///
-/// ```
-/// let (tx, rx) = tbnet_tee::channel::one_way::<Vec<f32>>();
-/// tx.send(vec![1.0, 2.0], 8);
-/// assert_eq!(rx.recv(), Some(vec![1.0, 2.0]));
-/// assert_eq!(rx.stats().messages, 1);
-/// ```
-pub fn one_way<T>() -> (ReeSender<T>, TeeReceiver<T>) {
-    endpoints(None)
-}
-
 /// Creates a one-way channel whose shared-memory queue holds at most `cap`
 /// payloads (`cap` ≥ 1). A full channel blocks [`ReeSender::send`] and
 /// rejects [`ReeSender::try_send`] — the rich world experiences backpressure
@@ -176,7 +139,23 @@ pub fn one_way<T>() -> (ReeSender<T>, TeeReceiver<T>) {
 /// assert_eq!(rx.stats().dropped, 1);
 /// ```
 pub fn one_way_bounded<T>(cap: usize) -> (ReeSender<T>, TeeReceiver<T>) {
-    endpoints(Some(cap.max(1)))
+    let shared = Arc::new(Shared {
+        state: Mutex::new(State {
+            queue: VecDeque::new(),
+            stats: ChannelStats::default(),
+            senders: 1,
+            receiver_alive: true,
+        }),
+        cap: cap.max(1),
+        not_empty: Condvar::new(),
+        not_full: Condvar::new(),
+    });
+    (
+        ReeSender {
+            shared: Arc::clone(&shared),
+        },
+        TeeReceiver { shared },
+    )
 }
 
 impl<T> ReeSender<T> {
@@ -190,15 +169,14 @@ impl<T> ReeSender<T> {
 
     /// Sends a payload into the secure world, recording its size in bytes.
     ///
-    /// On an unbounded channel this never blocks. On a bounded channel it
-    /// blocks until space frees up; if the receiver is dropped the payload
+    /// Blocks until space frees up; if the receiver is dropped the payload
     /// is silently counted as `dropped` (use [`ReeSender::send_timeout`]
     /// when delivery failure must be observed).
     pub fn send(&self, value: T, bytes: usize) {
         let _ = self.send_timeout(value, bytes, Duration::MAX);
     }
 
-    /// Sends without waiting: on a full bounded channel the payload comes
+    /// Sends without waiting: on a full channel the payload comes
     /// straight back as [`SendError::TimedOut`] and is counted as dropped.
     ///
     /// # Errors
@@ -209,9 +187,9 @@ impl<T> ReeSender<T> {
         self.send_timeout(value, bytes, Duration::ZERO)
     }
 
-    /// Sends, waiting at most `timeout` for queue space on a bounded
-    /// channel. Timing out or a dropped receiver returns the payload to the
-    /// caller and counts it in [`ChannelStats::dropped`].
+    /// Sends, waiting at most `timeout` for queue space. Timing out or a
+    /// dropped receiver returns the payload to the caller and counts it in
+    /// [`ChannelStats::dropped`].
     ///
     /// # Errors
     ///
@@ -231,30 +209,26 @@ impl<T> ReeSender<T> {
                 state.stats.dropped += 1;
                 return Err(SendError::Disconnected(value));
             }
-            match shared.cap {
-                Some(cap) if state.queue.len() >= cap => {
-                    let remaining = match deadline {
-                        // `Duration::MAX` overflows `checked_add`: wait forever.
-                        None => Duration::from_secs(3600),
-                        Some(d) => match d.checked_duration_since(Instant::now()) {
-                            Some(r) if !r.is_zero() => r,
-                            _ => {
-                                state.stats.dropped += 1;
-                                return Err(SendError::TimedOut(value));
-                            }
-                        },
-                    };
-                    state = shared
-                        .not_full
-                        .wait_timeout(state, remaining)
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .0;
-                }
-                _ => {
-                    Self::push(&mut state, shared, value, bytes);
-                    return Ok(());
-                }
+            if state.queue.len() < shared.cap {
+                Self::push(&mut state, shared, value, bytes);
+                return Ok(());
             }
+            let remaining = match deadline {
+                // `Duration::MAX` overflows `checked_add`: wait forever.
+                None => Duration::from_secs(3600),
+                Some(d) => match d.checked_duration_since(Instant::now()) {
+                    Some(r) if !r.is_zero() => r,
+                    _ => {
+                        state.stats.dropped += 1;
+                        return Err(SendError::TimedOut(value));
+                    }
+                },
+            };
+            state = shared
+                .not_full
+                .wait_timeout(state, remaining)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
         }
     }
 
@@ -374,7 +348,7 @@ mod tests {
 
     #[test]
     fn fifo_order() {
-        let (tx, rx) = one_way::<u32>();
+        let (tx, rx) = one_way_bounded::<u32>(2);
         tx.send(1, 4);
         tx.send(2, 4);
         assert_eq!(rx.pending(), 2);
@@ -385,7 +359,7 @@ mod tests {
 
     #[test]
     fn stats_accumulate() {
-        let (tx, rx) = one_way::<Vec<u8>>();
+        let (tx, rx) = one_way_bounded::<Vec<u8>>(2);
         tx.send(vec![0; 10], 10);
         tx.send(vec![0; 20], 20);
         let s = rx.stats();
@@ -398,7 +372,7 @@ mod tests {
 
     #[test]
     fn works_across_threads() {
-        let (tx, rx) = one_way::<usize>();
+        let (tx, rx) = one_way_bounded::<usize>(100);
         let handle = std::thread::spawn(move || {
             for i in 0..100 {
                 tx.send(i, 8);
@@ -418,7 +392,7 @@ mod tests {
     fn endpoints_are_direction_typed() {
         fn sender_only_api<T>(_s: &ReeSender<T>) {}
         fn receiver_only_api<T>(_r: &TeeReceiver<T>) {}
-        let (tx, rx) = one_way::<()>();
+        let (tx, rx) = one_way_bounded::<()>(1);
         sender_only_api(&tx);
         receiver_only_api(&rx);
     }
@@ -480,7 +454,7 @@ mod tests {
 
     #[test]
     fn recv_wakes_on_sender_drop() {
-        let (tx, rx) = one_way::<u32>();
+        let (tx, rx) = one_way_bounded::<u32>(1);
         let t0 = Instant::now();
         let handle = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(20));
@@ -520,7 +494,7 @@ mod tests {
 
     #[test]
     fn cloned_senders_all_count() {
-        let (tx, rx) = one_way::<u32>();
+        let (tx, rx) = one_way_bounded::<u32>(2);
         let tx2 = tx.clone();
         tx.send(1, 4);
         tx2.send(2, 4);

@@ -1390,6 +1390,17 @@ fn conv2d_forward_view(
     // `[rows, OH*OW]` segment of it is addressable by the same row offsets.
     let epi_v = epilogue.operand().map(Tensor::as_slice);
     let rows_per = conv_rows_per(g.n * g.o, 2 * g.ckk() * spatial);
+    // The kernels walk a sample's output channels in blocks of 8 and 4 from
+    // its first channel, and a block rounds differently from the one-row
+    // tail (FMA stencil, 4-tap updates). A chunk boundary inside a block
+    // would re-block the rows after it and make them depend on the thread
+    // count, so boundaries fall on a multiple of 8 channels within a sample
+    // or on a sample boundary.
+    let rows_per = if g.n == 1 || g.o % 8 == 0 {
+        rows_per.next_multiple_of(8)
+    } else {
+        rows_per.next_multiple_of(g.o)
+    };
     par::for_each_chunk_mut(
         out.as_mut_slice(),
         rows_per * spatial.max(1),

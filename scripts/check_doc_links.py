@@ -18,7 +18,13 @@ one. Two kinds of references are checked:
    tokens naming a root-level Markdown file. Tokens with glob or
    placeholder characters (``*``, ``<``, ``{``) are skipped, and a
    ``path:line`` suffix is stripped. Always resolved against the repo root
-   (this script's parent directory), wherever the checked file lives.
+   (this script's parent directory), wherever the checked file lives;
+3. backtick-quoted module paths — `` `tbnet_<crate>::<name>...` `` tokens
+   whose ``crates/<crate>/src/lib.rs`` exists (a workspace crate). The
+   reference resolves when ``crates/<crate>/src/<name>.rs`` or
+   ``<name>/mod.rs`` exists, or when ``<name>`` appears on a non-comment
+   line of that ``lib.rs`` (a re-export such as ``tbnet_tee::simulate_baseline``).
+   Only the first segment after the crate is checked.
 
 Usage:
     check_doc_links.py FILE [FILE ...]
@@ -48,6 +54,7 @@ PATH_ROOTS = (
 MD_LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 BACKTICK = re.compile(r"`([^`\n]+)`")
 ROOT_MD = re.compile(r"[\w.-]+\.md")
+MODULE_PATH = re.compile(r"tbnet_(\w+)::(\w+)")
 
 
 def candidate_paths(text: str) -> list[tuple[str, bool]]:
@@ -70,6 +77,34 @@ def candidate_paths(text: str) -> list[tuple[str, bool]]:
     return sorted(ref for ref in refs if ref[0])
 
 
+def module_refs(text: str) -> list[tuple[str, str, str]]:
+    """Extracts every (token, crate, name) backticked module reference."""
+    refs: set[tuple[str, str, str]] = set()
+    for token in BACKTICK.findall(text):
+        m = MODULE_PATH.match(token)
+        if m:
+            refs.add((token, m.group(1), m.group(2)))
+    return sorted(refs)
+
+
+def module_resolves(repo_root: str, crate: str, name: str) -> bool:
+    """Whether `tbnet_<crate>::<name>` names a module file or a lib.rs item;
+    tokens naming no workspace crate are not checked."""
+    src = os.path.join(repo_root, "crates", crate, "src")
+    lib = os.path.join(src, "lib.rs")
+    if not os.path.exists(lib):
+        return True
+    if os.path.exists(os.path.join(src, f"{name}.rs")) or os.path.exists(
+        os.path.join(src, name, "mod.rs")
+    ):
+        return True
+    word = re.compile(rf"\b{re.escape(name)}\b")
+    with open(lib, encoding="utf-8") as fh:
+        return any(
+            word.search(line) and not line.lstrip().startswith("//") for line in fh
+        )
+
+
 def main() -> int:
     if len(sys.argv) < 2:
         print(__doc__, file=sys.stderr)
@@ -88,6 +123,10 @@ def main() -> int:
             base = repo_root if repo_rooted else doc_dir
             if not os.path.exists(os.path.join(base, ref)):
                 print(f"{doc}: dangling path reference `{ref}`")
+                failures += 1
+        for token, crate, name in module_refs(text):
+            if not module_resolves(repo_root, crate, name):
+                print(f"{doc}: dangling module reference `{token}`")
                 failures += 1
     if failures:
         print(f"{failures} dangling reference(s)", file=sys.stderr)

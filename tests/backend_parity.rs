@@ -6,7 +6,6 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use tbnet_core::parallel::parallel_eval;
 use tbnet_tensor::ops::{
     col2im, col2im_panel, conv_output_size, im2col, im2col_panel, PackedConv2dWeight,
 };
@@ -546,20 +545,4 @@ fn whole_model_forward_parity() {
     net.set_backend(BackendKind::Parallel);
     let logits_parallel = net.forward(&x, Mode::Eval).unwrap();
     close(&logits_naive, &logits_parallel, "vgg_tiny logits");
-}
-
-/// The batch-parallel evaluator agrees with a hand-rolled sequential loop.
-#[test]
-fn parallel_eval_matches_sequential() {
-    let acc = parallel_eval(&7u8, 97, 8, |_m, r| Ok((r.end as f32, r.len()))).unwrap();
-    let mut num = 0.0f64;
-    let mut den = 0.0f64;
-    let mut start = 0usize;
-    while start < 97 {
-        let end = (start + 8).min(97);
-        num += end as f64 * (end - start) as f64;
-        den += (end - start) as f64;
-        start = end;
-    }
-    assert!((acc as f64 - num / den).abs() < 1e-4);
 }

@@ -16,15 +16,24 @@
 //! 3. **Int8 branch** — on a *trained* smoke deployment, the quantized
 //!    rich branch must agree with the unfused f32 reference on ≥99% of
 //!    top-1 decisions; the max absolute logit error is printed.
+//! 4. **One merge loop** — split inference runs the same `M_T` step as
+//!    `predict_fused`, so on a finalized residual model with gathering
+//!    alignments their logits are bitwise equal.
+//! 5. **Thread-count invariance** — `predict_fused`, `predict_int8` and
+//!    `ChainNet::predict_inference` give bitwise-equal logits at 1, 2 and
+//!    4 pool threads (same batch size; batch-size invariance is not
+//!    claimed).
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use tbnet_core::deploy::run_split_inference;
 use tbnet_core::pipeline::{run_pipeline, PipelineConfig};
+use tbnet_core::pruning::{build_masks, composite_scores, prune_two_branch_once};
 use tbnet_core::TwoBranchModel;
 use tbnet_data::{DatasetKind, SyntheticCifar};
-use tbnet_models::{resnet, vgg, ChainNet, HeadSpec, ModelSpec, UnitSpec};
+use tbnet_models::{mobile, resnet, vgg, ChainNet, HeadSpec, ModelSpec, UnitSpec};
 use tbnet_nn::{Layer, Mode};
-use tbnet_tensor::{init, BackendKind, Tensor};
+use tbnet_tensor::{init, par, BackendKind, Tensor};
 
 fn max_abs_diff(a: &Tensor, b: &Tensor) -> f32 {
     assert_eq!(a.dims(), b.dims(), "shape mismatch");
@@ -263,4 +272,100 @@ fn int8_branch_top1_agreement_on_trained_deployment() {
         agreement >= 0.99,
         "int8 top-1 agreement {agreement:.4} below 0.99 (max |Δlogit| {max_err:.5})"
     );
+}
+
+/// A finalized residual two-branch model whose merges gather: random BN
+/// scales make the composite scores distinct, one pruning pass narrows
+/// both branches, and rollback restores the wider `M_R`. No training.
+fn finalized_resnet(rng: &mut StdRng) -> TwoBranchModel {
+    let spec = resnet::resnet_from_stages("split-res", &[8, 12], 1, 4, 3, (16, 16));
+    let victim = ChainNet::from_spec(&spec, rng).unwrap();
+    let mut model = TwoBranchModel::from_victim(&victim, rng).unwrap();
+    model
+        .forward(&init::randn(&[4, 3, 16, 16], 1.0, rng), Mode::Train)
+        .unwrap();
+    for unit in model.mr_mut().units_mut() {
+        let c = unit.out_channels();
+        unit.bn_mut().gamma_mut().value = init::randn(&[c], 1.0, rng);
+    }
+    for unit in model.mt_mut().units_mut() {
+        let c = unit.out_channels();
+        unit.bn_mut().gamma_mut().value = init::randn(&[c], 1.0, rng);
+    }
+    let (prev_mr, prev_book) = (model.mr().clone(), model.mr_book().clone());
+    let scores = composite_scores(&model).unwrap();
+    let masks = build_masks(&model, &scores, 0.5, 2).unwrap();
+    prune_two_branch_once(&mut model, &masks).unwrap();
+    model.finalize_with_rollback(prev_mr, prev_book).unwrap();
+    model
+}
+
+#[test]
+fn split_inference_equals_fused_prediction_bitwise() {
+    let mut rng = StdRng::seed_from_u64(59);
+    let mut model = finalized_resnet(&mut rng);
+    assert!(
+        model
+            .mt()
+            .units()
+            .iter()
+            .any(|u| u.spec().skip_from.is_some()),
+        "the model has skips"
+    );
+    let gathers = model.align().iter().filter(|a| a.is_some()).count();
+    assert!(gathers >= 2, "only {gathers} merges gather");
+    let x = init::randn(&[21, 3, 16, 16], 1.0, &mut rng);
+    let fused = model.predict_fused(&x).unwrap();
+    let split = run_split_inference(&mut model, &x).unwrap();
+    assert_eq!(split.logits.dims(), fused.dims());
+    assert!(
+        split
+            .logits
+            .as_slice()
+            .iter()
+            .zip(fused.as_slice())
+            .all(|(a, b)| a.to_bits() == b.to_bits()),
+        "split inference differs from predict_fused"
+    );
+}
+
+#[test]
+fn inference_is_bitwise_equal_across_thread_counts() {
+    let mut rng = StdRng::seed_from_u64(61);
+    let specs = [
+        resnet::resnet_from_stages("thr-res", &[8, 12], 1, 4, 3, (16, 16)),
+        mobile::mobile_from_stages("thr-mob", &[(8, 1), (16, 1)], 4, 3, (16, 16)),
+        vgg::vgg_from_stages("thr-vgg", &[(8, 1), (12, 1)], 4, 3, (16, 16)),
+    ];
+    let mut nets: Vec<ChainNet> = Vec::new();
+    let mut models: Vec<TwoBranchModel> = Vec::new();
+    for spec in &specs {
+        let mut net = ChainNet::from_spec(spec, &mut rng).unwrap();
+        net.forward(&init::randn(&[4, 3, 16, 16], 1.0, &mut rng), Mode::Train)
+            .unwrap();
+        models.push(TwoBranchModel::from_victim(&net, &mut rng).unwrap());
+        nets.push(net);
+    }
+    models.push(finalized_resnet(&mut rng));
+    let x = init::randn(&[8, 3, 16, 16], 1.0, &mut rng);
+    let bits = |t: Tensor| -> Vec<u32> { t.as_slice().iter().map(|v| v.to_bits()).collect() };
+    let mut run = |threads: usize| -> Vec<Vec<u32>> {
+        par::set_max_threads(threads);
+        let mut out = Vec::new();
+        for net in &mut nets {
+            out.push(bits(net.predict_inference(&x).unwrap()));
+        }
+        for model in &mut models {
+            out.push(bits(model.predict_fused(&x).unwrap()));
+            out.push(bits(model.predict_int8(&x).unwrap()));
+        }
+        out
+    };
+    let one = run(1);
+    let (two, four) = (run(2), run(4));
+    par::reset_max_threads();
+    for (i, (a, (b, c))) in one.iter().zip(two.iter().zip(&four)).enumerate() {
+        assert_eq!(a, b, "output {i}: 1 vs 2 threads");
+        assert_eq!(a, c, "output {i}: 1 vs 4 threads");
+    }
 }

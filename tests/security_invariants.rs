@@ -7,7 +7,7 @@ use tbnet_core::transfer::{train_two_branch_with_workers, TransferConfig};
 use tbnet_core::TwoBranchModel;
 use tbnet_data::{DatasetKind, SyntheticCifar};
 use tbnet_models::{resnet, vgg, ChainNet};
-use tbnet_tee::channel::one_way;
+use tbnet_tee::channel::one_way_bounded;
 use tbnet_tee::{Deployment, SecureWorld};
 use tbnet_tensor::par;
 
@@ -27,7 +27,7 @@ fn data() -> SyntheticCifar {
 /// traffic unwritable; this test documents the API surface.
 #[test]
 fn channel_is_one_way_by_construction() {
-    let (ree, tee) = one_way::<Vec<f32>>();
+    let (ree, tee) = one_way_bounded::<Vec<f32>>(1);
     ree.send(vec![1.0], 4);
     assert_eq!(tee.recv(), Some(vec![1.0]));
     // `tee` has no send method and `ree` has no recv method. The following
