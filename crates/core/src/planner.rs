@@ -42,8 +42,7 @@ use serde::{Deserialize, Serialize};
 
 use tbnet_models::ModelSpec;
 use tbnet_tee::{
-    simulate_two_branch, simulate_two_branch_batched, CostModel, LatencyReport, MeasuredStages,
-    MemoryReport,
+    simulate_two_branch_batched, CostModel, LatencyReport, MeasuredStages, MemoryReport,
 };
 
 use crate::deploy::DeploymentPlan;
@@ -379,10 +378,10 @@ pub fn validate_qps(
     tolerance: f64,
 ) -> Result<LiveValidation> {
     let batch = batch.max(1);
+    // Calibration fits per-sample rates; replaying them at the measured
+    // batch makes the simulated stage totals per-batch times.
     let cost = tbnet_tee::calibrate_cost_model(mt_spec, mr_spec, stages, batch)?;
-    let sim = simulate_two_branch(mt_spec, mr_spec, &cost)?;
-    // The calibrated simulator replays the measured batch, so its stage
-    // totals are per-batch times.
+    let sim = simulate_two_branch_batched(mt_spec, mr_spec, &cost, batch)?;
     let serial_s = sim.stage_sum_s();
     let ree_stage_s = sim.ree_compute_s + sim.transfer_s + sim.switch_s;
     let tee_stage_s = sim.tee_compute_s + sim.merge_s;
@@ -588,6 +587,16 @@ mod tests {
         // A throughput between the serial floor and pipelined ceiling passes.
         let serial = validate_qps(&stages, batch, &mt, &v, 0.0, 1.0).unwrap();
         assert!(serial.predicted_pipelined_qps >= serial.predicted_serial_qps);
+        // The stages are per-batch times, so the serial floor is `batch`
+        // samples per stage sum.
+        let stage_sum =
+            stages.ree_s + stages.tee_s + stages.transfer_s + stages.merge_s + stages.switch_s;
+        let expect = batch as f64 / stage_sum;
+        assert!(
+            (serial.predicted_serial_qps / expect - 1.0).abs() < 1e-9,
+            "serial floor {} qps, expected {expect}",
+            serial.predicted_serial_qps
+        );
         let mid = 0.5 * (serial.predicted_serial_qps + serial.predicted_pipelined_qps);
         assert!(
             validate_qps(&stages, batch, &mt, &v, mid, 1.0)

@@ -9,13 +9,18 @@
 //! * an **admission queue** with per-request deadlines and a high-water mark
 //!   (past it, requests are shed immediately instead of queued to die);
 //! * a **dynamic batcher**: REE workers merge single-sample requests into
-//!   batches up to [`ServeConfig::max_batch`], waiting at most
-//!   [`ServeConfig::batch_linger`] for stragglers;
+//!   batches up to [`ServeConfig::max_batch`]. Requests already queued join
+//!   without waiting; the batch waits up to [`ServeConfig::batch_linger`]
+//!   for stragglers only while the running mean gap between admitted
+//!   submissions is shorter than that linger, so a request at light load
+//!   costs one split inference plus a hand-off;
 //! * a **pipelined split execution**: the REE worker streams `M_R` feature
 //!   maps through a *bounded* one-way channel while a dedicated TEE consumer
 //!   thread merges and classifies — REE compute, transfer and TEE compute
 //!   genuinely overlap, which [`ServeReport::validate_pipeline`] checks
-//!   against the event-driven simulator's prediction;
+//!   against the event-driven simulator's prediction. Every payload carries
+//!   a [`checksum_f32`] digest taken before it enters the channel, and the
+//!   consumer re-hashes what it received;
 //! * a **nemesis-driven fault model** ([`tbnet_tee::FaultPlan`]) answered
 //!   with *typed* recovery: transient world-switch failures get bounded
 //!   retry with exponential backoff, channel stalls and checksum-detected
@@ -66,8 +71,9 @@ pub struct ServeConfig {
     pub ree_workers: usize,
     /// Largest batch the dynamic batcher will form.
     pub max_batch: usize,
-    /// Longest a worker waits for stragglers after the first request of a
-    /// batch arrives.
+    /// Longest a batch waits for stragglers. It waits only while recent
+    /// arrivals are denser than this (their running mean gap is shorter);
+    /// queued requests join without waiting.
     pub batch_linger: Duration,
     /// Admission-queue depth past which new requests are shed immediately.
     pub queue_high_water: usize,
@@ -92,6 +98,8 @@ pub struct ServeConfig {
     /// Upper bound on a single retry backoff.
     pub backoff_cap: Duration,
     /// Consecutive health failures before the TEE is declared unhealthy.
+    /// A world switch that succeeds on the send path, or a successful probe,
+    /// ends the streak.
     pub unhealthy_after: u32,
     /// Consecutive probe successes before an unhealthy TEE is trusted
     /// again.
@@ -242,8 +250,13 @@ pub struct ServeMetrics {
     pub batch_samples: u64,
     /// REE `M_R` unit-forward nanoseconds, summed over healthy batches.
     pub ree_ns: u64,
-    /// Channel send nanoseconds (clone + enqueue + backpressure waits).
+    /// Channel send nanoseconds: the sender's payload checksum, world
+    /// switches with their retry backoffs, enqueue and backpressure waits.
     pub transfer_ns: u64,
+    /// TEE-side checksum verification of received payloads, summed over
+    /// healthy batches. The simulator has no verify stage, so this stays
+    /// out of [`ServeReport::stages`] and [`ServeReport::measured_overlap`].
+    pub verify_ns: u64,
     /// TEE `M_T` unit-forward and head nanoseconds.
     pub tee_ns: u64,
     /// TEE-side aligned-channel extraction before each merge.
@@ -412,6 +425,51 @@ struct Job {
     image: Tensor,
 }
 
+/// Weight of the newest gap in [`ArrivalClock`]'s running mean. At a
+/// Poisson rate the mean's spread is about `sqrt(w / (2 - w))` ≈ 0.18 of
+/// the true gap, so steady traffic at a few times the linger rarely reads
+/// as dense. A burst reads as dense from its first gap on a fresh engine,
+/// and after about 30 arrivals following steady 12.5 ms gaps.
+const ARRIVAL_GAP_WEIGHT: f64 = 1.0 / 16.0;
+
+/// Exponentially weighted mean of the gaps between admitted submissions:
+/// the batcher's evidence that lingering for stragglers can pay off.
+/// Requeued jobs are not arrivals and never touch it.
+#[derive(Debug, Default)]
+struct ArrivalClock {
+    last: Option<Instant>,
+    /// `None` until the first gap is seen.
+    mean_gap_s: Option<f64>,
+}
+
+impl ArrivalClock {
+    fn record(&mut self, at: Instant) {
+        if let Some(last) = self.last {
+            let gap = at.saturating_duration_since(last).as_secs_f64();
+            self.mean_gap_s = Some(match self.mean_gap_s {
+                Some(mean) => mean + ARRIVAL_GAP_WEIGHT * (gap - mean),
+                None => gap,
+            });
+        }
+        self.last = Some(at);
+    }
+
+    /// Whether arrivals come closer together than `linger` on average, so
+    /// a batch can expect stragglers within it. Sparse until a gap is seen.
+    fn dense(&self, linger: Duration) -> bool {
+        self.mean_gap_s
+            .is_some_and(|mean| mean < linger.as_secs_f64())
+    }
+}
+
+/// The admission queue and the arrival clock its submissions feed, under
+/// one lock.
+#[derive(Debug, Default)]
+struct Admission {
+    jobs: VecDeque<Job>,
+    arrivals: ArrivalClock,
+}
+
 /// In-flight registry entry; removing it is the one and only way a request
 /// completes, which makes every outcome exactly-once.
 #[derive(Debug)]
@@ -476,7 +534,7 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 struct Shared {
     cfg: ServeConfig,
     fault: FaultPlan,
-    queue: Mutex<VecDeque<Job>>,
+    queue: Mutex<Admission>,
     queue_cv: Condvar,
     jobs: Mutex<VecDeque<TeeJob>>,
     jobs_cv: Condvar,
@@ -539,11 +597,11 @@ impl Shared {
             let Some(p) = registry.get_mut(&id) else {
                 continue;
             };
-            if queue.iter().any(|j| j.id == id) {
+            if queue.jobs.iter().any(|j| j.id == id) {
                 continue;
             }
             p.requeues += 1;
-            queue.push_back(Job { id, image });
+            queue.jobs.push_back(Job { id, image });
             pushed = true;
         }
         drop(queue);
@@ -565,6 +623,14 @@ impl Shared {
         }
     }
 
+    /// A world switch that went through on the send path ends the failure
+    /// streak, so isolated failures between successful sends never add up
+    /// to `unhealthy_after`. Re-trusting an unhealthy TEE stays with the
+    /// supervisor's probes.
+    fn switch_succeeded(&self) {
+        lock(&self.health).consec_fail = 0;
+    }
+
     fn health_success(&self) {
         let mut h = lock(&self.health);
         h.consec_fail = 0;
@@ -579,17 +645,18 @@ impl Shared {
         self.healthy_flag.load(Ordering::Acquire)
     }
 
-    /// Pops the next admission job, waiting at most `wait`.
+    /// Pops the next admission job, waiting at most `wait` (not at all when
+    /// `wait` is zero).
     fn pop_job(&self, wait: Duration) -> Option<Job> {
         let mut q = lock(&self.queue);
-        if q.is_empty() {
+        if q.jobs.is_empty() && !wait.is_zero() {
             q = self
                 .queue_cv
                 .wait_timeout(q, wait)
                 .unwrap_or_else(PoisonError::into_inner)
                 .0;
         }
-        q.pop_front()
+        q.jobs.pop_front()
     }
 
     /// One world-switch-guarded send with bounded exponential-backoff
@@ -622,6 +689,7 @@ impl Shared {
                 attempt += 1;
                 continue;
             }
+            self.switch_succeeded();
             match tx.send_timeout(payload, bytes, self.cfg.send_timeout) {
                 Ok(()) => return Ok(attempt),
                 Err(SendError::TimedOut(_)) => {
@@ -695,15 +763,16 @@ fn worker_loop(shared: &Arc<Shared>, mut mr: ChainNet, mut fallback: TwoBranchMo
             Triage::Run(job) => job,
             Triage::Handled => continue,
         };
-        // Dynamic batching: linger for stragglers up to the batch cap.
+        // Dynamic batching up to the batch cap: queued requests join at
+        // once, and stragglers are worth waiting for only while arrivals
+        // are dense.
         let mut batch = vec![first];
-        let linger_until = Instant::now() + shared.cfg.batch_linger;
+        let linger = shared.cfg.batch_linger;
+        let dense = lock(&shared.queue).arrivals.dense(linger);
+        let linger_until = Instant::now() + if dense { linger } else { Duration::ZERO };
         while batch.len() < shared.cfg.max_batch {
-            let remaining = match linger_until.checked_duration_since(Instant::now()) {
-                Some(r) if !r.is_zero() => r,
-                _ => break,
-            };
-            let Some(job) = shared.pop_job(remaining) else {
+            let wait = linger_until.saturating_duration_since(Instant::now());
+            let Some(job) = shared.pop_job(wait) else {
                 break;
             };
             match triage(shared, &mut fallback, job) {
@@ -789,9 +858,12 @@ fn execute_batch(shared: &Arc<Shared>, mr: &mut ChainNet, batch: Vec<Job>) {
 // Consumer (TEE side): merge, classify, complete.
 // ---------------------------------------------------------------------------
 
+/// Receives one payload and re-hashes what actually arrived, adding the
+/// verify time to `verify_ns`.
 fn recv_payload(
     shared: &Shared,
     rx: &TeeReceiver<Payload>,
+    verify_ns: &mut u64,
 ) -> std::result::Result<Tensor, ConsumeFail> {
     let payload = match rx.recv_timeout(shared.cfg.recv_timeout) {
         Ok(p) => p,
@@ -803,31 +875,47 @@ fn recv_payload(
         ConsumerFault::Stall(d) => std::thread::sleep(d),
         ConsumerFault::Crash => return Err(ConsumeFail::Crashed),
     }
-    if checksum_f32(payload.data.as_slice()) != payload.checksum {
+    let t = Instant::now();
+    let intact = checksum_f32(payload.data.as_slice()) == payload.checksum;
+    *verify_ns += t.elapsed().as_nanos() as u64;
+    if !intact {
         lock(&shared.metrics).corruption_detected += 1;
         return Err(ConsumeFail::Requeue);
     }
     Ok(payload.data)
 }
 
-/// Receives one batch's payload stream, runs the merged `M_T` forward and
-/// returns the logits plus (tee, merge) stage nanoseconds.
+/// One consumed batch: its logits and TEE-side stage nanoseconds.
+struct Consumed {
+    logits: Tensor,
+    tee_ns: u64,
+    merge_ns: u64,
+    verify_ns: u64,
+}
+
+/// Receives one batch's payload stream and runs the merged `M_T` forward.
 fn consume_batch(
     shared: &Shared,
     mt: &mut ChainNet,
     align: &[Option<Vec<usize>>],
     rx: &TeeReceiver<Payload>,
-) -> std::result::Result<(Tensor, u64, u64), ConsumeFail> {
+) -> std::result::Result<Consumed, ConsumeFail> {
     let n = mt.units().len();
-    let mut step = SecureForward::new(mt, align, recv_payload(shared, rx)?);
+    let mut verify_ns = 0u64;
+    let mut step = SecureForward::new(mt, align, recv_payload(shared, rx, &mut verify_ns)?);
     for _ in 0..n {
-        step.push(&recv_payload(shared, rx)?)
+        step.push(&recv_payload(shared, rx, &mut verify_ns)?)
             .expect("merge and M_T unit forward on validated geometry");
     }
     let (logits, tee, merge) = step
         .finish()
         .expect("M_T head forward on validated geometry");
-    Ok((logits, tee.as_nanos() as u64, merge.as_nanos() as u64))
+    Ok(Consumed {
+        logits,
+        tee_ns: tee.as_nanos() as u64,
+        merge_ns: merge.as_nanos() as u64,
+        verify_ns,
+    })
 }
 
 fn consumer_loop(shared: &Arc<Shared>, mut mt: ChainNet, align: Vec<Option<Vec<usize>>>) {
@@ -851,18 +939,19 @@ fn consumer_loop(shared: &Arc<Shared>, mut mt: ChainNet, align: Vec<Option<Vec<u
         };
         *lock(&shared.current) = Some(job.items.clone());
         match consume_batch(shared, &mut mt, &align, &job.rx) {
-            Ok((logits, tee_ns, merge_ns)) => {
-                let classes = logits.dim(1);
+            Ok(done) => {
+                let classes = done.logits.dim(1);
                 for (k, (id, _)) in job.items.iter().enumerate() {
-                    let row = logits.as_slice()[k * classes..(k + 1) * classes].to_vec();
+                    let row = done.logits.as_slice()[k * classes..(k + 1) * classes].to_vec();
                     shared.complete(*id, Terminal::Answered(row));
                 }
                 *lock(&shared.current) = None;
                 let mut metrics = lock(&shared.metrics);
                 metrics.batches += 1;
                 metrics.batch_samples += job.items.len() as u64;
-                metrics.tee_ns += tee_ns;
-                metrics.merge_ns += merge_ns;
+                metrics.tee_ns += done.tee_ns;
+                metrics.merge_ns += done.merge_ns;
+                metrics.verify_ns += done.verify_ns;
                 metrics.makespan_ns += job.batch_start.elapsed().as_nanos() as u64;
             }
             Err(ConsumeFail::Requeue) => {
@@ -998,7 +1087,7 @@ impl ServeEngine {
             mt_spec: mt_spec.clone(),
             world: Mutex::new(world),
             fault,
-            queue: Mutex::new(VecDeque::new()),
+            queue: Mutex::new(Admission::default()),
             queue_cv: Condvar::new(),
             jobs: Mutex::new(VecDeque::new()),
             jobs_cv: Condvar::new(),
@@ -1107,13 +1196,20 @@ impl ServeEngine {
             },
         );
         self.shared.admitted.fetch_add(1, Ordering::Relaxed);
-        let depth = lock(&self.shared.queue).len();
-        if depth >= self.shared.cfg.queue_high_water {
+        let shed = {
+            let mut queue = lock(&self.shared.queue);
+            queue.arrivals.record(now);
+            let shed = queue.jobs.len() >= self.shared.cfg.queue_high_water;
+            if !shed {
+                queue.jobs.push_back(Job { id, image });
+            }
+            shed
+        };
+        if shed {
             self.shared.complete(id, Terminal::Shed);
-            return Ok(id);
+        } else {
+            self.shared.queue_cv.notify_one();
         }
-        lock(&self.shared.queue).push_back(Job { id, image });
-        self.shared.queue_cv.notify_one();
         Ok(id)
     }
 
@@ -1254,6 +1350,50 @@ mod tests {
         assert_eq!(seq[9], Duration::from_millis(20), "capped");
         // Huge attempt numbers must not overflow.
         assert_eq!(backoff_for(&cfg, 40), Duration::from_millis(20));
+    }
+
+    #[test]
+    fn linger_waits_only_while_arrivals_are_dense() {
+        let linger = Duration::from_millis(2);
+        let t0 = Instant::now();
+        let at = |ms: f64| t0 + Duration::from_secs_f64(ms / 1e3);
+        let mut clock = ArrivalClock::default();
+        assert!(!clock.dense(linger), "no arrivals yet: sparse");
+        clock.record(at(0.0));
+        assert!(!clock.dense(linger), "no gap seen yet: sparse");
+
+        // A burst 250 µs apart is dense at once.
+        let mut t = 0.0;
+        for _ in 0..8 {
+            t += 0.25;
+            clock.record(at(t));
+        }
+        assert!(clock.dense(linger));
+        assert!(!clock.dense(Duration::ZERO), "a zero linger never waits");
+
+        // Steady 80 req/s traffic (12.5 ms gaps) turns it sparse on the
+        // third arrival and keeps it there.
+        let mut sparse_from = None;
+        for k in 1..=32 {
+            t += 12.5;
+            clock.record(at(t));
+            if !clock.dense(linger) {
+                sparse_from.get_or_insert(k);
+            } else {
+                assert!(sparse_from.is_none(), "dense again at arrival {k}");
+            }
+        }
+        assert_eq!(sparse_from, Some(3));
+
+        // A fresh burst pulls the mean back under the linger.
+        for _ in 0..48 {
+            t += 0.25;
+            clock.record(at(t));
+        }
+        assert!(clock.dense(linger));
+        // One arrival after a long silence reads sparse.
+        clock.record(at(t + 1000.0));
+        assert!(!clock.dense(linger));
     }
 
     #[test]

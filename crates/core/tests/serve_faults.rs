@@ -115,6 +115,39 @@ fn mixed_fault_schedule_with_consumer_crash_loses_no_request() {
 }
 
 #[test]
+fn isolated_switch_failures_do_not_trip_the_breaker() {
+    // `unhealthy_after` counts consecutive failures. Switch 0 is the
+    // startup probe; the outages at switches 2 and 4 land on sends, and the
+    // retry at switch 3 succeeds in between. The next probe is 300 ms away,
+    // so only that successful send can end the first streak.
+    let (artifacts, _) = common::fixture();
+    let cfg = ServeConfig {
+        unhealthy_after: 2,
+        probe_interval: Duration::from_millis(300),
+        ..ServeConfig::fast_test()
+    };
+    let plan = FaultPlan::seeded(1)
+        .with_world_switch_outage(2, 1)
+        .with_world_switch_outage(4, 1);
+    let engine = ServeEngine::start(&artifacts.model, cfg, plan).unwrap();
+    for i in 0..6 {
+        engine.submit(&common::test_image(i)).unwrap();
+    }
+    let report = engine.shutdown();
+
+    assert_eq!(
+        report.faults.world_switch_failures, 2,
+        "{:?}",
+        report.faults
+    );
+    assert_eq!(
+        report.metrics.unhealthy_transitions, 0,
+        "two failures with a successful send between them tripped the breaker"
+    );
+    assert_eq!(report.counts.answered, 6, "{:?}", report.counts);
+}
+
+#[test]
 fn unhealthy_tee_degrades_bitwise_to_predict_int8() {
     let (artifacts, _) = common::fixture();
     let mut reference = artifacts.model.clone();

@@ -140,6 +140,28 @@ fn submit_rejects_non_single_sample_shapes() {
 }
 
 #[test]
+fn lone_request_does_not_wait_out_the_linger() {
+    // With no arrivals before it, a request is sparse traffic: its batch
+    // dispatches at once instead of waiting for stragglers.
+    let (artifacts, _) = common::fixture();
+    let cfg = ServeConfig {
+        batch_linger: Duration::from_millis(400),
+        ..ServeConfig::fast_test()
+    };
+    let engine = ServeEngine::start(&artifacts.model, cfg, FaultPlan::none()).unwrap();
+    engine.submit(&common::test_image(0)).unwrap();
+    let report = engine.shutdown();
+    assert_eq!(report.completions.len(), 1);
+    let Outcome::Answered { latency_ms, .. } = report.completions[0].outcome else {
+        panic!("expected Answered, got {:?}", report.completions[0].outcome);
+    };
+    assert!(
+        latency_ms < 200.0,
+        "a lone request waited {latency_ms:.1} ms against a 400 ms linger"
+    );
+}
+
+#[test]
 fn healthy_run_calibrates_the_simulator_from_measured_stages() {
     let (artifacts, _) = common::fixture();
     let engine = ServeEngine::start(

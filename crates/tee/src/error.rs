@@ -32,14 +32,6 @@ pub enum TeeError {
         /// 1-based attempt number that failed.
         attempt: u32,
     },
-    /// A payload crossed the channel with a checksum mismatch — shared
-    /// memory was scribbled between send and receive.
-    PayloadCorrupted {
-        /// Checksum the sender computed.
-        expected: u64,
-        /// Checksum the receiver computed.
-        got: u64,
-    },
 }
 
 impl fmt::Display for TeeError {
@@ -60,10 +52,6 @@ impl fmt::Display for TeeError {
             TeeError::WorldSwitchFailed { attempt } => {
                 write!(f, "world switch failed (attempt {attempt})")
             }
-            TeeError::PayloadCorrupted { expected, got } => write!(
-                f,
-                "payload corrupted in transit: checksum {got:#018x} != expected {expected:#018x}"
-            ),
         }
     }
 }

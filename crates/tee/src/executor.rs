@@ -80,7 +80,8 @@ pub struct MeasuredStages {
     pub ree_s: f64,
     /// TEE-side `M_T` compute (head included) per batch, seconds.
     pub tee_s: f64,
-    /// Channel transfer (send-side, payload clones included) per batch.
+    /// Send-side channel transfer per batch, seconds. The serving runtime
+    /// times the payload checksum, enqueue and backpressure waits.
     pub transfer_s: f64,
     /// TEE-side channel extraction / merge staging per batch.
     pub merge_s: f64,

@@ -23,8 +23,9 @@
 //!
 //! Checksums: feature maps crossing the channel carry [`checksum_f32`] over
 //! their bit patterns; [`corrupt_f32`] is the canonical bit-flip the plan's
-//! corruption fault applies. A mismatch at the receiver is reported as
-//! [`TeeError::PayloadCorrupted`].
+//! corruption fault applies. The serving runtime re-hashes what the TEE
+//! consumer received; on a mismatch it counts the payload as corrupted and
+//! requeues the batch.
 
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
@@ -322,19 +323,65 @@ impl FaultPlan {
     }
 }
 
-/// FNV-1a over the bit patterns of `data` — the integrity check payloads
-/// carry across the one-way channel. Bit-exact and byte-order independent
-/// across platforms (the fold is over `u32` bit patterns, not raw memory).
+/// Independent hash lanes of [`checksum_f32`]: enough to keep a 64-bit
+/// multiplier busy every cycle instead of waiting on one dependent chain.
+const CHECKSUM_LANES: usize = 8;
+/// Odd multiplier of the lane step (2^64 / φ), so the multiply is a
+/// bijection.
+const CHECKSUM_PRIME: u64 = 0x9E37_79B9_7F4A_7C15;
+/// FNV-1a's offset basis, the starting state of lanes and fold.
+const CHECKSUM_BASIS: u64 = 0xCBF2_9CE4_8422_2325;
+
+/// One lane step `rotl((h ⊕ w)·P, 29)`: a bijection in `h` for fixed `w`
+/// and in `w` for fixed `h`. The rotation brings the product's high bits
+/// back down; without it a flip of bit 63 passes through every odd multiply
+/// unchanged, and two such flips (two sign bits) would cancel.
+#[inline(always)]
+fn checksum_step(h: u64, w: u64) -> u64 {
+    (h ^ w).wrapping_mul(CHECKSUM_PRIME).rotate_left(29)
+}
+
+/// A word-wise, multi-lane hash of the bit patterns of `data` — the
+/// integrity check payloads carry across the one-way channel.
+///
+/// Layout: each run of `2 · 8` elements feeds 8 lanes, lane `k` taking
+/// elements `2k` and `2k + 1` packed into one `u64` word; the `len % 16`
+/// tail elements go one per step to lane `i % 8` by their tail index. The
+/// digest then folds the lanes in lane order with the same step, starting
+/// from a basis mixed with `data.len()`. It folds `f32::to_bits` values,
+/// never raw memory, so it is deterministic and identical on every
+/// platform.
+///
+/// **Guarantee:** changing any single element changes the digest, so
+/// [`corrupt_f32`] is always caught. The changed element alters exactly one
+/// word of one lane; the step is a bijection in the word, so that lane's
+/// state changes, and a bijection in the state, so the change survives the
+/// lane's later steps and every step of the fold. Slices of different
+/// lengths also start the fold from different states.
+///
+/// This is fault detection, not authentication: the REE computes both the
+/// payload and its digest, so it detects accidental scribbles in shared
+/// memory, not a rich world that forges both.
 pub fn checksum_f32(data: &[f32]) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for &v in data {
-        let bits = v.to_bits();
-        for shift in [0u32, 8, 16, 24] {
-            h ^= u64::from((bits >> shift) & 0xFF);
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
+    let mut lanes = [0u64; CHECKSUM_LANES];
+    for (k, lane) in lanes.iter_mut().enumerate() {
+        *lane = CHECKSUM_BASIS ^ (k as u64).wrapping_mul(CHECKSUM_PRIME);
+    }
+    let mut chunks = data.chunks_exact(2 * CHECKSUM_LANES);
+    for chunk in &mut chunks {
+        for (lane, pair) in lanes.iter_mut().zip(chunk.chunks_exact(2)) {
+            let w = u64::from(pair[0].to_bits()) | u64::from(pair[1].to_bits()) << 32;
+            *lane = checksum_step(*lane, w);
         }
     }
-    h
+    for (i, v) in chunks.remainder().iter().enumerate() {
+        let lane = &mut lanes[i % CHECKSUM_LANES];
+        *lane = checksum_step(*lane, u64::from(v.to_bits()));
+    }
+    lanes.iter().fold(
+        checksum_step(CHECKSUM_BASIS, data.len() as u64),
+        |h, &lane| checksum_step(h, lane),
+    )
 }
 
 /// The canonical corruption: flips one mantissa bit of one element, chosen
@@ -466,6 +513,43 @@ mod tests {
         }
         corrupt_f32(&mut data, 9);
         assert_ne!(clean, checksum_f32(&data));
+
+        // Every single-bit flip of every element, at every length up to
+        // 40: all tail lengths, both word halves, lanes that step twice.
+        for len in 1..=40usize {
+            let data: Vec<f32> = (0..len).map(|i| i as f32 * 0.37 - 4.0).collect();
+            let clean = checksum_f32(&data);
+            for idx in 0..len {
+                for bit in 0..32 {
+                    let mut flipped = data.clone();
+                    flipped[idx] = f32::from_bits(flipped[idx].to_bits() ^ (1 << bit));
+                    assert_ne!(
+                        clean,
+                        checksum_f32(&flipped),
+                        "len {len}: flipping bit {bit} of element {idx} went unseen"
+                    );
+                }
+            }
+        }
+        for x in [0.0f32, 1.0, -2.5] {
+            assert_ne!(checksum_f32(&[x]), checksum_f32(&[x, 0.0]), "x = {x}");
+        }
+    }
+
+    #[test]
+    fn checksum_sees_paired_sign_flips() {
+        // A difference in bit 63 survives an odd multiply unchanged, so
+        // without the lane rotation two sign flips would cancel.
+        let data: Vec<f32> = (0..48).map(|i| i as f32 * 0.5 + 1.0).collect();
+        let clean = checksum_f32(&data);
+        for a in 0..data.len() {
+            for b in a + 1..data.len() {
+                let mut flipped = data.clone();
+                flipped[a] = -flipped[a];
+                flipped[b] = -flipped[b];
+                assert_ne!(clean, checksum_f32(&flipped), "signs of {a} and {b}");
+            }
+        }
     }
 
     #[test]

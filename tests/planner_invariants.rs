@@ -116,6 +116,11 @@ fn calibrated_simulator_brackets_live_serving_throughput() {
     let elapsed = started.elapsed().as_secs_f64();
     let completed = (report.counts.answered + report.counts.degraded) as f64;
     assert!(completed > 0.0, "live run completed nothing");
+    assert!(
+        report.mean_batch > 1.0,
+        "a burst must fill batches without a linger, got mean batch {:.2}",
+        report.mean_batch
+    );
     let measured_qps = completed / elapsed.max(1e-9);
 
     let mt = model.mt().spec();
