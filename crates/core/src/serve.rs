@@ -200,9 +200,10 @@ pub enum Outcome {
         /// How many times this request was requeued before it completed.
         requeues: u32,
     },
-    /// The TEE was unavailable; an REE-only int8 answer was produced by
-    /// [`TwoBranchModel::predict_int8`] on a batch of one, so it is
-    /// bit-identical to calling that method directly on the same sample.
+    /// The TEE was unavailable; the REE worker produced the answer with
+    /// [`TwoBranchModel::predict_int8`] (int8 `M_R`, f32 `M_T`) on a batch
+    /// of one, so it is bit-identical to calling that method directly on
+    /// the same sample.
     Degraded {
         /// The logits row of the fallback int8 path.
         logits: Vec<f32>,
@@ -233,7 +234,8 @@ pub struct OutcomeCounts {
     pub admitted: u64,
     /// Full TEE answers.
     pub answered: u64,
-    /// REE-only int8 fallback answers.
+    /// Fallback answers computed on the REE worker
+    /// ([`TwoBranchModel::predict_int8`]).
     pub degraded: u64,
     /// Requests refused at admission.
     pub shed: u64,
@@ -259,6 +261,11 @@ pub struct ServeMetrics {
     pub verify_ns: u64,
     /// TEE `M_T` unit-forward and head nanoseconds.
     pub tee_ns: u64,
+    /// Degraded-fallback [`TwoBranchModel::predict_int8`] nanoseconds,
+    /// summed over degraded requests. Like `verify_ns`, this is not a stage
+    /// of the healthy pipeline, so it stays out of [`ServeReport::stages`]
+    /// and [`ServeReport::measured_overlap`].
+    pub degraded_ns: u64,
     /// TEE-side aligned-channel extraction before each merge.
     pub merge_ns: u64,
     /// Batch-formation-to-classification wall clock, summed per batch.
@@ -736,9 +743,11 @@ fn triage(shared: &Shared, fallback: &mut TwoBranchModel, job: Job) -> Triage {
 /// bit-identical to calling that method directly on the same sample,
 /// because the quantized first unit's activation range is batch-dependent.
 fn degrade(shared: &Shared, fallback: &mut TwoBranchModel, job: &Job) {
+    let t = Instant::now();
     let logits = fallback
         .predict_int8(&job.image)
         .expect("degraded int8 predict on validated geometry");
+    lock(&shared.metrics).degraded_ns += t.elapsed().as_nanos() as u64;
     shared.complete(job.id, Terminal::Degraded(logits.as_slice().to_vec()));
 }
 
@@ -1165,9 +1174,10 @@ impl ServeEngine {
     ///
     /// # Errors
     ///
-    /// [`CoreError::InvalidConfig`] after shutdown began, or for any shape
-    /// other than one sample of the deployed input geometry. A rejected
-    /// request is neither registered nor counted as admitted.
+    /// [`CoreError::InvalidConfig`] after shutdown began, for any shape
+    /// other than one sample of the deployed input geometry, or for a NaN
+    /// or infinite pixel. A rejected request is neither registered nor
+    /// counted as admitted.
     pub fn submit_with_deadline(&self, image: &Tensor, deadline: Duration) -> Result<u64> {
         if self.shared.closed.load(Ordering::Acquire) {
             return Err(CoreError::InvalidConfig {
@@ -1182,6 +1192,12 @@ impl ServeEngine {
             return Err(CoreError::InvalidConfig {
                 field: "submit",
                 reason: format!("expected [{c}, {h}, {w}] or [1, {c}, {h}, {w}], got {dims:?}"),
+            });
+        }
+        if let Some(i) = image.as_slice().iter().position(|x| !x.is_finite()) {
+            return Err(CoreError::InvalidConfig {
+                field: "submit",
+                reason: format!("pixel {i} is {}, not finite", image.as_slice()[i]),
             });
         }
         let image = image.reshape(&[1, c, h, w])?;

@@ -169,6 +169,12 @@ fn unhealthy_tee_degrades_bitwise_to_predict_int8() {
         report.counts
     );
     assert!(report.faults.world_switch_failures >= 1);
+    // The fallback is timed as its own stage; no healthy batch ran.
+    assert_eq!(report.metrics.batches, 0);
+    assert!(
+        report.metrics.degraded_ns > 0,
+        "the degraded fallback's compute is timed"
+    );
 
     let mut agree = 0usize;
     for (i, id) in ids.iter().enumerate() {

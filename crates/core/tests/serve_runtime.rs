@@ -38,6 +38,7 @@ fn healthy_path_answers_match_fused_inference() {
     assert_eq!(report.metrics.batch_samples, n as u64);
     assert!(report.metrics.channel_high_water >= 1);
     assert_eq!(report.metrics.channel_dropped, 0);
+    assert_eq!(report.metrics.degraded_ns, 0, "nothing ran the fallback");
     assert!(report.latency_percentile(0.99) >= report.latency_percentile(0.5));
 
     for (i, id) in ids.iter().enumerate() {
@@ -136,6 +137,50 @@ fn submit_rejects_non_single_sample_shapes() {
         matches!(report.completions[0].outcome, Outcome::Answered { .. }),
         "{:?}",
         report.completions[0].outcome
+    );
+}
+
+#[test]
+fn submit_rejects_non_finite_pixels() {
+    let (artifacts, _) = common::fixture();
+    let engine = ServeEngine::start(
+        &artifacts.model,
+        ServeConfig::fast_test(),
+        FaultPlan::none(),
+    )
+    .unwrap();
+    for (k, bad) in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY]
+        .into_iter()
+        .enumerate()
+    {
+        let mut image = common::test_image(k);
+        image.as_mut_slice()[7 * k + 1] = bad;
+        assert!(
+            engine.submit(&image).is_err(),
+            "a {bad} pixel is rejected at the boundary"
+        );
+    }
+    assert_eq!(
+        engine.in_flight(),
+        0,
+        "rejected requests are not registered"
+    );
+    let id = engine.submit(&common::test_image(0)).unwrap();
+    let report = engine.shutdown();
+    assert_eq!(
+        report.counts.admitted, 1,
+        "rejected requests are not admitted"
+    );
+    assert_eq!(report.completions.len(), 1);
+    assert_eq!(report.completions[0].id, id);
+    assert!(
+        matches!(report.completions[0].outcome, Outcome::Answered { .. }),
+        "{:?}",
+        report.completions[0].outcome
+    );
+    assert_eq!(
+        report.metrics.degraded_ns, 0,
+        "a healthy run never degrades"
     );
 }
 

@@ -6,7 +6,10 @@
 //! [`ChainNet`] into per-unit quantized convolutions: the BatchNorm is
 //! folded into the weight first (same fold as the f32 fast path), then the
 //! folded weight is quantized per output channel to int8 and executed with
-//! the u8×i8 integer kernel in `tbnet_tensor::ops::qconv`.
+//! the u8×i8 integer kernels in `tbnet_tensor::ops::qconv`. Depthwise units
+//! are quantized with `QuantConv2dWeight::quantize_depthwise` and run on
+//! the per-channel int8 stencil, so the snapshot stores and multiplies only
+//! each channel's own taps.
 //!
 //! Activation quantization needs a per-unit input range. Every unit input
 //! except the network input is the previous unit's post-BN, post-ReLU
@@ -81,16 +84,13 @@ impl QuantBranch {
                 &scale,
                 &shift,
             )?;
-            // Depthwise weights are stored `[C, 1, KH, KW]`; the integer
-            // kernel only speaks dense layouts, so expand to a block-diagonal
-            // `[C, C, KH, KW]` — the off-diagonal zeros quantize exactly, so
-            // the int8 output is unchanged.
-            let folded = if u.conv().is_depthwise() {
-                expand_depthwise_dense(pack.weight())?
+            // Depthwise weights are stored `[C, 1, KH, KW]`, which shape alone
+            // cannot tell from a dense conv with one input channel.
+            let weight = if u.conv().is_depthwise() {
+                QuantConv2dWeight::quantize_depthwise(pack.weight())?
             } else {
-                pack.weight().clone()
+                QuantConv2dWeight::quantize(pack.weight())?
             };
-            let weight = QuantConv2dWeight::quantize(&folded)?;
             units.push(QuantUnit {
                 weight,
                 bias,
@@ -200,26 +200,10 @@ impl QuantBranch {
     }
 }
 
-/// Expands a depthwise weight `[C, 1, KH, KW]` into the equivalent dense
-/// `[C, C, KH, KW]` block-diagonal weight (channel `c`'s taps on the
-/// diagonal, zeros elsewhere).
-fn expand_depthwise_dense(weight: &Tensor) -> Result<Tensor> {
-    let (c, kh, kw) = (weight.dim(0), weight.dim(2), weight.dim(3));
-    let mut dense = Tensor::zeros(&[c, c, kh, kw]);
-    let src = weight.as_slice();
-    let dst = dense.as_mut_slice();
-    let k = kh * kw;
-    for ch in 0..c {
-        let taps = &src[ch * k..(ch + 1) * k];
-        dst[(ch * c + ch) * k..(ch * c + ch) * k + k].copy_from_slice(taps);
-    }
-    Ok(dense)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::vgg;
+    use crate::{mobile, resnet, vgg};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use tbnet_nn::{Layer, Mode};
@@ -266,6 +250,36 @@ mod tests {
             max_err / scale < 0.25,
             "int8 features diverged: max err {max_err} vs scale {scale}"
         );
+    }
+
+    #[test]
+    fn int8_snapshot_holds_only_real_taps() {
+        // Depthwise units keep their own taps (no C×C block-diagonal
+        // expansion) and 1×1 units spend no bytes on padding taps, so the
+        // snapshot stays well under the f32 conv weights it replaces.
+        for spec in [
+            mobile::mobile_from_stages("mobile", &[(32, 2), (64, 2), (128, 2)], 10, 3, (16, 16)),
+            resnet::resnet_from_stages("resnet", &[16, 32, 64], 1, 10, 3, (16, 16)),
+            vgg::vgg_tiny(10, 3, (16, 16)),
+        ] {
+            let net = ChainNet::from_spec(&spec, &mut StdRng::seed_from_u64(3)).unwrap();
+            let q = QuantBranch::from_chain(&net).unwrap();
+            for (u, qu) in net.units().iter().zip(q.units()) {
+                assert_eq!(u.conv().is_depthwise(), qu.weight().is_depthwise());
+            }
+            let f32_bytes: usize = net
+                .units()
+                .iter()
+                .map(|u| u.conv().weight().value.numel() * 4)
+                .sum();
+            let ratio = q.packed_bytes() as f64 / f32_bytes as f64;
+            assert!(
+                ratio <= 0.4,
+                "{}: int8 snapshot {} B is {ratio:.2}x the {f32_bytes} B of f32 conv weights",
+                spec.name,
+                q.packed_bytes()
+            );
+        }
     }
 
     #[test]

@@ -129,11 +129,6 @@ impl SecureWorld {
     pub fn budget(&self) -> usize {
         self.ledger.budget()
     }
-
-    /// Number of models currently loaded.
-    pub fn loaded_models(&self) -> usize {
-        self.models.len()
-    }
 }
 
 #[cfg(test)]

@@ -1259,6 +1259,19 @@ enum RowEpilogue<'a> {
     ReluAdd(&'a [f32]),
 }
 
+impl RowEpilogue<'_> {
+    /// The epilogue of one biased output `v` at offset `k` of the span.
+    #[inline(always)]
+    fn apply(self, v: f32, k: usize) -> f32 {
+        match self {
+            RowEpilogue::None => v,
+            RowEpilogue::Relu => v.max(0.0),
+            RowEpilogue::AddRelu(t) => (v + t[k]).max(0.0),
+            RowEpilogue::ReluAdd(t) => v.max(0.0) + t[k],
+        }
+    }
+}
+
 /// Forward kernel for output channels `ch0..ch0+rows` of one sample.
 /// `dst` is the `[rows, OH*OW]` output span, zero-initialized by the caller.
 #[allow(clippy::too_many_arguments)] // internal kernel plumbing, not public API
@@ -1747,10 +1760,152 @@ pub(crate) fn conv2d_backward(
 // plane, chunked across the pool like the dense forward's output tiles.
 // ---------------------------------------------------------------------------
 
+/// One-pass 3×3 / stride 1 / pad 1 depthwise plane: `dst` (`[H, W]`) from
+/// one input plane and its 9 taps, with the bias and `epi` applied before
+/// the single store of each output. The plane is first copied into
+/// `padded`, a `(H + 2) × (W + 2)` scratch whose zero border stands in for
+/// the padding (only the interior is written, so the border stays zero
+/// across planes). Each output accumulates its nine taps from a fresh
+/// `+0.0` in `ki → kj` order with separate multiplies and adds — the naive
+/// oracle's arithmetic, never FMA. A border tap adds `w·0.0 = ±0.0`, which
+/// leaves such an accumulator unchanged (it is never `-0.0`), so for finite
+/// taps the result equals the oracle's, which skips those taps, bit for
+/// bit. For the same reason `acc + b` equals the unfused sweep's
+/// `if b != 0.0 { acc += b }`.
+fn dw3x3_plane(
+    src: &[f32],
+    taps: &[f32],
+    padded: &mut [f32],
+    dst: &mut [f32],
+    (h, w): (usize, usize),
+    b: f32,
+    epi: RowEpilogue<'_>,
+) {
+    let pitch = w + 2;
+    for i in 0..h {
+        padded[(i + 1) * pitch + 1..][..w].copy_from_slice(&src[i * w..(i + 1) * w]);
+    }
+    let t: &[f32; 9] = taps.try_into().expect("3x3 taps");
+    let (padded, dst) = (&padded[..(h + 2) * pitch], &mut dst[..h * w]);
+    if let RowEpilogue::AddRelu(o) | RowEpilogue::ReluAdd(o) = epi {
+        assert!(o.len() >= h * w, "fused-add operand spans the plane");
+    }
+    // Rows narrower than one 8-lane vector take the portable loop. (LLVM
+    // does not vectorize the portable loop on the 8- and 16-wide rows of
+    // the deployed planes, hence the explicit kernel.)
+    #[cfg(target_arch = "x86_64")]
+    if w >= 8 && have_avx2() {
+        // SAFETY: AVX2 verified; `padded` holds `(h + 2) * (w + 2)` and
+        // `dst` `h * w` elements, `w >= 8`, and the fused-add operand spans
+        // `h * w` (asserted above).
+        #[allow(unsafe_code)]
+        unsafe {
+            dw3x3_avx2::plane(padded, dst, (h, w), t, b, epi);
+        }
+        return;
+    }
+    for i in 0..h {
+        let rows = &padded[i * pitch..(i + 3) * pitch];
+        for j in 0..w {
+            let mut acc = 0.0f32;
+            for ki in 0..3 {
+                for kj in 0..3 {
+                    acc += t[ki * 3 + kj] * rows[ki * pitch + j + kj];
+                }
+            }
+            dst[i * w + j] = epi.apply(acc + b, i * w + j);
+        }
+    }
+}
+
+/// AVX2 row kernel of [`dw3x3_plane`]: 8 outputs per step, the nine taps
+/// broadcast in registers, `vmulps` then `vaddps` per tap in `ki → kj`
+/// order (the portable loop's rounding, lane by lane), the epilogue fused
+/// before the store. A row's last step overlaps the previous one when `W`
+/// is not a multiple of 8; it recomputes the same values.
+#[cfg(target_arch = "x86_64")]
+mod dw3x3_avx2 {
+    #![allow(unsafe_code)]
+
+    use std::arch::x86_64::{
+        __m256, _mm256_add_ps, _mm256_loadu_ps, _mm256_max_ps, _mm256_mul_ps, _mm256_set1_ps,
+        _mm256_setzero_ps, _mm256_storeu_ps,
+    };
+
+    use super::RowEpilogue;
+
+    /// # Safety
+    ///
+    /// Requires AVX2. `padded` must hold `(h + 2) * (w + 2)` elements,
+    /// `dst` `h * w`, a fused-add operand in `epi` at least `h * w`, and
+    /// `w >= 8`.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn plane(
+        padded: &[f32],
+        dst: &mut [f32],
+        (h, w): (usize, usize),
+        t: &[f32; 9],
+        b: f32,
+        epi: RowEpilogue<'_>,
+    ) {
+        // SAFETY: per the function contract, every 8-lane load reads
+        // `padded[(i + ki) * (w + 2) + j0 + kj..][..8]` with
+        // `j0 + kj + 8 <= w + 2`, and every store / operand load covers
+        // `[i * w + j0..][..8]` with `j0 + 8 <= w`.
+        unsafe {
+            let pitch = w + 2;
+            let zero = _mm256_setzero_ps();
+            let bv = _mm256_set1_ps(b);
+            let mut tv = [zero; 9];
+            for (v, &x) in tv.iter_mut().zip(t) {
+                *v = _mm256_set1_ps(x);
+            }
+            let operand = match epi {
+                RowEpilogue::AddRelu(o) | RowEpilogue::ReluAdd(o) => o.as_ptr(),
+                _ => std::ptr::null(),
+            };
+            for i in 0..h {
+                let p = padded.as_ptr().add(i * pitch);
+                let d = dst.as_mut_ptr().add(i * w);
+                let mut j = 0;
+                loop {
+                    let j0 = j.min(w - 8);
+                    let mut acc: __m256 = zero;
+                    for ki in 0..3 {
+                        for kj in 0..3 {
+                            let x = _mm256_loadu_ps(p.add(ki * pitch + j0 + kj));
+                            acc = _mm256_add_ps(acc, _mm256_mul_ps(tv[ki * 3 + kj], x));
+                        }
+                    }
+                    let v = _mm256_add_ps(acc, bv);
+                    let v = match epi {
+                        RowEpilogue::None => v,
+                        RowEpilogue::Relu => _mm256_max_ps(v, zero),
+                        RowEpilogue::AddRelu(_) => {
+                            let e = _mm256_loadu_ps(operand.add(i * w + j0));
+                            _mm256_max_ps(_mm256_add_ps(v, e), zero)
+                        }
+                        RowEpilogue::ReluAdd(_) => {
+                            let e = _mm256_loadu_ps(operand.add(i * w + j0));
+                            _mm256_add_ps(_mm256_max_ps(v, zero), e)
+                        }
+                    };
+                    _mm256_storeu_ps(d.add(j0), v);
+                    if j0 + 8 >= w {
+                        break;
+                    }
+                    j += 8;
+                }
+            }
+        }
+    }
+}
+
 /// One depthwise output plane: `dst` (`[OH, OW]`, zero-initialized) from one
-/// input plane and that channel's `[KH, KW]` taps. Shape-dispatches to the
-/// shifted row-axpy stencils where they exist; per output element the adds
-/// land in `ki → kj` order, matching the naive oracle.
+/// input plane and that channel's `[KH, KW]` taps, for every geometry but
+/// the one-pass 3×3 / stride 1 / pad 1 ([`dw3x3_plane`]). Shape-dispatches
+/// to the shifted row-axpy stencils where they exist; per output element
+/// the adds land in `ki → kj` order, matching the naive oracle.
 #[allow(clippy::too_many_arguments)]
 fn depthwise_plane_forward(
     src: &[f32],
@@ -1775,11 +1930,7 @@ fn depthwise_plane_forward(
                 }
                 let in_row = &src[ih as usize * w..(ih as usize + 1) * w];
                 let dst_row = &mut dst[ohi * ow..(ohi + 1) * ow];
-                if stride == 1 {
-                    axpy_shift3(dst_row, in_row, w0, w1, w2);
-                } else {
-                    axpy_shift3_strided(dst_row, in_row, w0, w1, w2, stride);
-                }
+                axpy_shift3_strided(dst_row, in_row, w0, w1, w2, stride);
             }
         }
         return;
@@ -1849,10 +2000,14 @@ pub(crate) fn conv2d_depthwise_forward(
     let bias_v = bias.map(Tensor::as_slice);
     let epi_v = epilogue.operand().map(Tensor::as_slice);
     let planes_per = conv_rows_per(n * c, 2 * spatial * kh * kw);
+    // The deployed geometry runs in one pass with its epilogue fused; the
+    // others sweep per kernel row, then apply the epilogue.
+    let one_pass = kh == 3 && kw == 3 && stride == 1 && pad == 1;
     par::for_each_chunk_mut(
         out.as_mut_slice(),
         planes_per * spatial.max(1),
         |ci, chunk| {
+            let mut padded = arena::take_zeroed(if one_pass { (h + 2) * (w + 2) } else { 0 });
             let mut plane = ci * planes_per;
             let mut off = 0;
             while off + spatial <= chunk.len() && spatial > 0 {
@@ -1860,36 +2015,27 @@ pub(crate) fn conv2d_depthwise_forward(
                 let src = &iv[plane * h * w..(plane + 1) * h * w];
                 let taps = &wv[ch * kh * kw..(ch + 1) * kh * kw];
                 let dst = &mut chunk[off..off + spatial];
-                depthwise_plane_forward(src, taps, dst, h, w, oh, ow, kh, kw, stride, pad);
                 let b = bias_v.map_or(0.0, |bv| bv[ch]);
                 let span = plane * spatial..(plane + 1) * spatial;
-                match (&epilogue, epi_v) {
-                    (Epilogue::None, _) => {
-                        if b != 0.0 {
-                            for x in dst.iter_mut() {
-                                *x += b;
-                            }
-                        }
-                    }
-                    (Epilogue::Relu, _) => {
-                        for x in dst.iter_mut() {
-                            *x = (*x + b).max(0.0);
-                        }
-                    }
-                    (Epilogue::AddRelu(_), Some(ev)) => {
-                        for (x, &tv) in dst.iter_mut().zip(&ev[span]) {
-                            *x = (*x + b + tv).max(0.0);
-                        }
-                    }
-                    (Epilogue::ReluAdd(_), Some(ev)) => {
-                        for (x, &tv) in dst.iter_mut().zip(&ev[span]) {
-                            *x = (*x + b).max(0.0) + tv;
-                        }
-                    }
-                    _ => unreachable!("fused-add epilogues carry an operand"),
-                }
                 plane += 1;
                 off += spatial;
+                let row_epi = match (&epilogue, epi_v) {
+                    (Epilogue::None, _) => RowEpilogue::None,
+                    (Epilogue::Relu, _) => RowEpilogue::Relu,
+                    (Epilogue::AddRelu(_), Some(ev)) => RowEpilogue::AddRelu(&ev[span]),
+                    (Epilogue::ReluAdd(_), Some(ev)) => RowEpilogue::ReluAdd(&ev[span]),
+                    _ => unreachable!("fused-add epilogues carry an operand"),
+                };
+                if one_pass {
+                    dw3x3_plane(src, taps, &mut padded, dst, (h, w), b, row_epi);
+                    continue;
+                }
+                depthwise_plane_forward(src, taps, dst, h, w, oh, ow, kh, kw, stride, pad);
+                // A zero bias changes nothing here either: the sweep's
+                // accumulators start at +0.0, so they are never -0.0.
+                for (k, x) in dst.iter_mut().enumerate() {
+                    *x = row_epi.apply(*x + b, k);
+                }
             }
         },
     );

@@ -255,8 +255,9 @@ fn fused_conv_engine_reaches_allocation_steady_state() {
     par::reset_max_threads();
 }
 
-/// Asserts output-only allocation for the fused f32 epilogue forward, the
-/// index-free eval max-pool, and the int8 quantized forward.
+/// Asserts output-only allocation for the fused f32 epilogue forward (dense
+/// and depthwise), the index-free eval max-pool, and the int8 quantized
+/// forward of every weight layout.
 fn inference_steady_state() {
     use tbnet_tensor::ops::{conv2d_forward_q8, ActQuant, Epilogue, QuantConv2dWeight};
 
@@ -309,23 +310,63 @@ fn inference_steady_state() {
          (an index map would roughly double the output bytes)"
     );
 
-    // Int8 forward: u8 image, panels and i32 accumulators all come from the
-    // byte arena once warm.
-    let qw = QuantConv2dWeight::quantize(&w3).unwrap();
-    let act = ActQuant::from_tensor(&x);
-    let _ = conv2d_forward_q8(&x, &qw, act, Some(&bias), 1, 1, true).unwrap();
-    let arena_before = arena::reserved_elems();
-    let a0 = allocated_bytes();
-    let qout = conv2d_forward_q8(&x, &qw, act, Some(&bias), 1, 1, true).unwrap();
-    let delta = allocated_bytes() - a0;
-    let budget = tensor_bytes(&qout) + SLACK;
-    assert!(
-        delta <= budget,
-        "int8 conv: warmed call allocated {delta} B, budget {budget} B"
-    );
-    assert_eq!(
-        arena::reserved_elems(),
-        arena_before,
-        "int8 conv: second call must not grow the f32 arena"
-    );
+    // The one-pass depthwise forward with every fused epilogue: its
+    // zero-bordered plane copy is arena scratch. The planes are large
+    // enough that a heap copy of even one of them would overrun `SLACK`.
+    let xd = init::randn(&[2, 8, 24, 24], 1.0, &mut rng);
+    let merge_d = init::randn(xd.dims(), 1.0, &mut rng);
+    let dw = init::randn(&[8, 1, 3, 3], 0.5, &mut rng);
+    let dw_packed = tbnet_tensor::ops::PackedConv2dWeight::new(&dw).unwrap();
+    for (label, epi) in [
+        ("depthwise relu", Epilogue::Relu),
+        ("depthwise add-relu", Epilogue::AddRelu(&merge_d)),
+        ("depthwise relu-add", Epilogue::ReluAdd(&merge_d)),
+    ] {
+        let _ = parallel
+            .conv2d_depthwise_forward_fused(&xd, &dw_packed, Some(&bias), 1, 1, epi)
+            .unwrap();
+        let arena_before = arena::reserved_elems();
+        let a0 = allocated_bytes();
+        let out = parallel
+            .conv2d_depthwise_forward_fused(&xd, &dw_packed, Some(&bias), 1, 1, epi)
+            .unwrap();
+        let delta = allocated_bytes() - a0;
+        let budget = tensor_bytes(&out) + SLACK;
+        assert!(
+            delta <= budget,
+            "{label}: warmed forward allocated {delta} B, budget {budget} B"
+        );
+        assert_eq!(arena::reserved_elems(), arena_before, "{label}: arena grew");
+    }
+
+    // Int8 forward, one kernel per weight layout (tap quads, channel quads,
+    // depthwise): u8 images, planes and panels all come from the byte arena
+    // once warm.
+    let w1 = init::randn(&[8, 8, 1, 1], 0.5, &mut rng);
+    let act = ActQuant::from_tensor(&xd);
+    for (label, qw, pad) in [
+        ("int8 3x3", QuantConv2dWeight::quantize(&w3).unwrap(), 1),
+        ("int8 1x1", QuantConv2dWeight::quantize(&w1).unwrap(), 0),
+        (
+            "int8 depthwise",
+            QuantConv2dWeight::quantize_depthwise(&dw).unwrap(),
+            1,
+        ),
+    ] {
+        let _ = conv2d_forward_q8(&xd, &qw, act, Some(&bias), 1, pad, true).unwrap();
+        let arena_before = arena::reserved_elems();
+        let a0 = allocated_bytes();
+        let qout = conv2d_forward_q8(&xd, &qw, act, Some(&bias), 1, pad, true).unwrap();
+        let delta = allocated_bytes() - a0;
+        let budget = tensor_bytes(&qout) + SLACK;
+        assert!(
+            delta <= budget,
+            "{label}: warmed call allocated {delta} B, budget {budget} B"
+        );
+        assert_eq!(
+            arena::reserved_elems(),
+            arena_before,
+            "{label}: second call must not grow the f32 arena"
+        );
+    }
 }

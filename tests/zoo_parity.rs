@@ -2,7 +2,9 @@
 //! 3×3 stencil, the widened direct 5×5 stencil and the depthwise per-channel
 //! kernels must agree with the `Naive` reference within 1e-5 — forward,
 //! backward, packed-weight and fused-epilogue entry points alike — across
-//! stride/pad/batch edge geometries.
+//! stride/pad/batch edge geometries. The depthwise forward and fused forward
+//! keep the oracle's per-element arithmetic, so they must match it bit for
+//! bit.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -23,6 +25,19 @@ fn close(a: &Tensor, b: &Tensor, what: &str) {
         assert!(
             (x - y).abs() <= 1e-5 * (1.0 + x.abs()) || (x - y).abs() <= tol,
             "{what}[{i}]: naive {x} vs parallel {y} (tol {tol})"
+        );
+    }
+}
+
+/// Bit-for-bit equality: the depthwise forward keeps the oracle's
+/// per-element arithmetic, so nothing may drift, not even by one ulp.
+fn bitwise(a: &Tensor, b: &Tensor, what: &str) {
+    assert_eq!(a.dims(), b.dims(), "{what}: shape mismatch");
+    for (i, (x, y)) in a.as_slice().iter().zip(b.as_slice()).enumerate() {
+        assert_eq!(
+            x.to_bits(),
+            y.to_bits(),
+            "{what}[{i}]: naive {x} vs parallel {y}"
         );
     }
 }
@@ -185,7 +200,7 @@ fn depthwise_matches_oracle() {
             let fwd_p = parallel()
                 .conv2d_depthwise_forward(&x, &packed, Some(&bias), stride, pad)
                 .unwrap();
-            close(&fwd_n, &fwd_p, &format!("{label} fwd"));
+            bitwise(&fwd_n, &fwd_p, &format!("{label} fwd"));
 
             // A depthwise conv is a dense conv with a block-diagonal weight;
             // pin the whole family to the dense oracle, not just to its own
@@ -214,7 +229,7 @@ fn depthwise_matches_oracle() {
                 let e_p = parallel()
                     .conv2d_depthwise_forward_fused(&x, &packed, Some(&bias), stride, pad, epi)
                     .unwrap();
-                close(&e_n, &e_p, &format!("{label} fused {name}"));
+                bitwise(&e_n, &e_p, &format!("{label} fused {name}"));
             }
 
             let g = init::randn(fwd_n.dims(), 1.0, &mut rng);
@@ -263,6 +278,46 @@ fn depthwise_matches_oracle() {
                 &bwd_p.grad_weight,
                 &format!("{label} grad_weight vs dense diagonal"),
             );
+        }
+    }
+}
+
+/// The one-pass 3×3 depthwise kernel on plane shapes the square cases above
+/// miss: single rows and columns, widths below, at and just past one 8-lane
+/// vector, and a width whose last vector overlaps the one before it. Every
+/// epilogue, bit for bit against the oracle.
+#[test]
+fn depthwise_one_pass_edge_planes_match_oracle() {
+    pin_threads();
+    let mut rng = StdRng::seed_from_u64(72);
+    for (h, w) in [
+        (1, 1),
+        (1, 7),
+        (7, 1),
+        (1, 8),
+        (3, 8),
+        (5, 9),
+        (2, 17),
+        (4, 13),
+    ] {
+        let x = init::randn(&[2, 3, h, w], 1.0, &mut rng);
+        let wt = init::randn(&[3, 1, 3, 3], 0.5, &mut rng);
+        let bias = init::randn(&[3], 0.1, &mut rng);
+        let packed = PackedConv2dWeight::new(&wt).unwrap();
+        let operand = init::randn(&[2, 3, h, w], 1.0, &mut rng);
+        for (epi, name) in [
+            (Epilogue::None, "none"),
+            (Epilogue::Relu, "relu"),
+            (Epilogue::AddRelu(&operand), "add_relu"),
+            (Epilogue::ReluAdd(&operand), "relu_add"),
+        ] {
+            let e_n = naive()
+                .conv2d_depthwise_forward_fused(&x, &packed, Some(&bias), 1, 1, epi)
+                .unwrap();
+            let e_p = parallel()
+                .conv2d_depthwise_forward_fused(&x, &packed, Some(&bias), 1, 1, epi)
+                .unwrap();
+            bitwise(&e_n, &e_p, &format!("{h}x{w} {name}"));
         }
     }
 }
