@@ -117,6 +117,16 @@ impl ChainNetState {
                 ),
             }));
         }
+        let expected = net.head().linear().bias().value.dims().to_vec();
+        if self.head_bias.dims() != expected {
+            return Err(CoreError::Model(tbnet_models::ModelError::InvalidSpec {
+                reason: format!(
+                    "stored head bias {:?} does not match spec {:?}",
+                    self.head_bias.dims(),
+                    expected
+                ),
+            }));
+        }
         net.head_mut()
             .linear_mut()
             .set_weight(self.head_weight.clone());
@@ -273,6 +283,81 @@ mod tests {
         let loaded: ChainNetState = load_json(&path).unwrap();
         assert_eq!(loaded, state);
         std::fs::remove_file(&path).ok();
+    }
+
+    /// Writes `state` as JSON, lets `edit` tamper with the text, and loads
+    /// it back.
+    fn tampered_load(
+        state: &ChainNetState,
+        name: &str,
+        edit: impl Fn(&str) -> String,
+    ) -> Result<ChainNetState> {
+        let dir = std::env::temp_dir().join("tbnet_persist_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(name);
+        let text = serde_json::to_string(state).unwrap();
+        std::fs::write(&path, edit(&text)).unwrap();
+        let loaded = load_json(&path);
+        std::fs::remove_file(&path).ok();
+        loaded
+    }
+
+    /// A checkpoint that disagrees with itself is an error at load or
+    /// restore time, never a tensor that panics in the first forward: a
+    /// conv weight with one value dropped, a weight whose dims disagree
+    /// with its data, a file cut short, and a head bias of the wrong
+    /// length.
+    #[test]
+    fn corrupt_checkpoints_are_errors_not_panics() {
+        let spec = tbnet_models::mobile::mobile_tiny(4, 3, (8, 8));
+        let net = ChainNet::from_spec(&spec, &mut StdRng::seed_from_u64(4)).unwrap();
+        let state = ChainNetState::capture(&net);
+        let data = |t: &Tensor| {
+            let v: Vec<String> = t
+                .as_slice()
+                .iter()
+                .map(|x| serde_json::to_string(x).unwrap())
+                .collect();
+            v.join(",")
+        };
+        let w0 = &state.units[0].conv_weight;
+        let full = data(w0);
+        let truncated = full[..full.rfind(',').unwrap()].to_string();
+        let r = tampered_load(&state, "truncated_tensor.json", |t| {
+            t.replacen(&full, &truncated, 1)
+        });
+        assert!(
+            matches!(r, Err(CoreError::PersistError { .. })),
+            "dropped value loaded"
+        );
+
+        let dims = serde_json::to_string(&w0.dims().to_vec()).unwrap();
+        let mut bad = w0.dims().to_vec();
+        bad[0] += 1;
+        let bad = serde_json::to_string(&bad).unwrap();
+        let r = tampered_load(&state, "dims_mismatch.json", |t| t.replacen(&dims, &bad, 1));
+        assert!(
+            matches!(r, Err(CoreError::PersistError { .. })),
+            "mismatched dims loaded"
+        );
+
+        let r = tampered_load(&state, "cut_short.json", |t| t[..t.len() / 2].to_string());
+        assert!(
+            matches!(r, Err(CoreError::PersistError { .. })),
+            "half a file loaded"
+        );
+
+        let mut short_bias = state.clone();
+        short_bias.head_bias = Tensor::zeros(&[3]);
+        assert!(
+            short_bias.restore().is_err(),
+            "wrong-length head bias restored"
+        );
+
+        // The untampered checkpoint still loads and restores.
+        let r = tampered_load(&state, "intact.json", str::to_string).unwrap();
+        assert_eq!(r, state);
+        assert!(r.restore().is_ok());
     }
 
     #[test]

@@ -13,16 +13,22 @@
 //!    element's accumulation order is preserved (row-parallel matmul,
 //!    output-tile conv forward, per-channel reductions). The exceptions,
 //!    which agree with naive only to rounding: conv-backward's weight/bias
-//!    accumulators (fold per-chunk partials) and the direct 3×3 forward on
-//!    AVX2+FMA hosts (same accumulation order, but fused multiply-add
-//!    rounds once per tap instead of twice).
-//! 2. **Cache blocking.** Matmul kernels block over `k` so panels of `b`
-//!    stay resident while a chunk of output rows is computed; the fused
-//!    convolution engine (see `ops::conv`) unfolds im2col *panels* into the
-//!    thread-local arena ([`crate::arena`]) instead of materializing the
-//!    whole patch matrix, consumes weights packed once per weight-update
-//!    epoch ([`PackedConv2dWeight`]), and shape-dispatches 1×1 and
-//!    3×3/s1/p1 geometries to unfold-free kernels.
+//!    accumulators (fold per-chunk partials) and the direct 3×3 forward's
+//!    4-channel blocks on AVX2+FMA hosts (same accumulation order, but
+//!    fused multiply-add rounds once per tap instead of twice). Vector
+//!    kernels keep the bits by keeping the scalar arithmetic lane by lane:
+//!    `vmulps` then `vaddps` per term in the reference order (never FMA),
+//!    and `max` chains in the reference call order (never a pairwise tree).
+//! 2. **Cache and register blocking.** Matmul kernels block over `k` so
+//!    panels of `b` stay resident while a chunk of output rows is computed;
+//!    the fused convolution engine (see `ops::conv`) unfolds im2col
+//!    *panels* into the thread-local arena ([`crate::arena`]) instead of
+//!    materializing the whole patch matrix, consumes weights packed once
+//!    per weight-update epoch ([`PackedConv2dWeight`]), and
+//!    shape-dispatches 1×1 and 3×3/s1/p1 geometries to unfold-free kernels.
+//!    The 1×1 forward keeps each output tile in registers across all of `k`
+//!    and applies its epilogue before the only store, so an output is
+//!    written once and never re-read.
 //! 3. **Zero steady-state allocation.** Every transient buffer — im2col
 //!    panels, operand transposes, per-chunk gradient partials — is arena
 //!    scratch; after one warm-up call the hot path performs no heap
@@ -37,7 +43,7 @@ use crate::ops::channel::{check_channel_vec, check_nchw};
 use crate::ops::conv::{
     check_conv_shapes, check_depthwise_shapes, col2im_panel, conv_output_size, im2col_panel,
     pack_panels_into, pack_transposed_into, packed_panel_len, Conv2dGrads, Epilogue, PackView,
-    PackedConv2dWeight,
+    PackedConv2dWeight, PACK_MR,
 };
 use crate::ops::elementwise::check_bias_rows;
 use crate::ops::matmul::check_rank2;
@@ -50,6 +56,15 @@ const MIN_PAR_FLOPS: usize = 1 << 20;
 
 /// Minimum elements for parallel elementwise/unary traversals.
 const MIN_PAR_ELEMS: usize = 1 << 16;
+
+/// Minimum input elements before the row-pair 2×2 max-pool splits across
+/// the pool. The kernel streams about 30 GB/s of input on one core, so
+/// waking a worker pays off only on inputs past L2. Measured on a 2-vCPU
+/// Xeon at two threads (medians of 3000 calls): inline wins up to 2^18
+/// elements (32 µs against 64–79 µs for two chunks) and ties at 393,216
+/// (54–57 µs against 58–67 µs); at 2^19 two chunks win (70–74 µs against
+/// 94–104 µs).
+const MIN_PAR_POOL2_ELEMS: usize = 1 << 19;
 
 /// Per-chunk element floor for elementwise traversals.
 const CHUNK_ELEMS: usize = 1 << 15;
@@ -678,26 +693,30 @@ fn check_conv_bias(bias: Option<&Tensor>, o: usize) -> Result<()> {
     Ok(())
 }
 
-/// The shifted row-axpy stencil at the heart of the direct 3×3 kernel:
+/// The shifted row-axpy stencil of the direct 3×3 kernel's remainder rows:
 /// `dst[j] += w0*src[j-1] + w1*src[j] + w2*src[j+1]` with zero-padding at
 /// the row borders, each element's adds in `kj` order (matching the naive
-/// oracle's accumulation order bit for bit).
+/// oracle's accumulation order bit for bit). Both border values are
+/// computed first and stored after the interior loop: a store ahead of the
+/// loop keeps LLVM from vectorizing it.
 #[inline(always)]
 fn axpy_shift3(dst: &mut [f32], src: &[f32], w0: f32, w1: f32, w2: f32) {
     let n = dst.len();
     let src = &src[..n];
-    if n == 0 {
+    if n < 2 {
+        if n == 1 {
+            dst[0] += w1 * src[0];
+        }
         return;
     }
-    if n == 1 {
-        dst[0] += w1 * src[0];
-        return;
+    let first = (dst[0] + w1 * src[0]) + w2 * src[1];
+    let last = (dst[n - 1] + w0 * src[n - 2]) + w1 * src[n - 1];
+    let (l, m, r) = (&src[..n - 2], &src[1..n - 1], &src[2..]);
+    for (((d, &a), &b), &c) in dst[1..n - 1].iter_mut().zip(l).zip(m).zip(r) {
+        *d = ((*d + w0 * a) + w1 * b) + w2 * c;
     }
-    dst[0] = (dst[0] + w1 * src[0]) + w2 * src[1];
-    for j in 1..n - 1 {
-        dst[j] = ((dst[j] + w0 * src[j - 1]) + w1 * src[j]) + w2 * src[j + 1];
-    }
-    dst[n - 1] = (dst[n - 1] + w0 * src[n - 2]) + w1 * src[n - 1];
+    dst[0] = first;
+    dst[n - 1] = last;
 }
 
 /// Strided variant of [`axpy_shift3`]: output column `owi` reads input
@@ -833,7 +852,8 @@ fn stencil9_x4(
 /// (zero-initialized). Output channels are walked in blocks of four so each
 /// loaded input row feeds four accumulator planes; per output element the
 /// adds land in `ci → ki → kj` order, matching the naive im2col oracle.
-#[allow(clippy::too_many_arguments)]
+/// Codegens twice (baseline + AVX2); call through
+/// [`direct3x3_rows_portable`].
 #[inline(always)]
 fn direct3x3_rows_body(
     sample: &[f32],
@@ -841,9 +861,7 @@ fn direct3x3_rows_body(
     dst: &mut [f32],
     ch0: usize,
     rows: usize,
-    c: usize,
-    h: usize,
-    w: usize,
+    (c, h, w): (usize, usize, usize),
 ) {
     let spatial = h * w;
     // Stand-in for the vertically-padded rows above/below the image.
@@ -910,6 +928,16 @@ fn direct3x3_rows_body(
         r += 1;
     }
 }
+
+simd_dispatch!(fn direct3x3_rows_portable / direct3x3_rows_portable_avx2 / direct3x3_rows_body
+<>(
+    sample: &[f32],
+    wv: &[f32],
+    dst: &mut [f32],
+    ch0: usize,
+    rows: usize,
+    chw: (usize, usize, usize),
+));
 
 /// AVX2+FMA implementation of the direct 3×3 stencil. Rust never contracts
 /// `a*b + c` on its own (`ffp-contract=off`), so the portable kernel pays
@@ -1133,16 +1161,14 @@ fn direct3x3_rows_fma(
         r += 4;
     }
     if r < rows {
-        // Remainder channels reuse the portable path.
-        direct3x3_rows_body(
+        // Remainder channels reuse the portable path, without FMA.
+        direct3x3_rows_portable(
             sample,
             wv,
             &mut dst[r * spatial..],
             ch0 + r,
             rows - r,
-            c,
-            h,
-            w,
+            (c, h, w),
         );
     }
 }
@@ -1164,7 +1190,7 @@ fn direct3x3_rows(
     if have_avx2_fma() {
         return direct3x3_rows_fma(sample, wv, dst, ch0, rows, c, h, w);
     }
-    direct3x3_rows_body(sample, wv, dst, ch0, rows, c, h, w)
+    direct3x3_rows_portable(sample, wv, dst, ch0, rows, (c, h, w))
 }
 
 /// Direct 3×3 / stride ≥ 2 / pad 1 forward for output channels
@@ -1272,6 +1298,194 @@ impl RowEpilogue<'_> {
     }
 }
 
+/// AVX2 1×1 GEMM microkernel: `dst[r, p] = epi(b + Σ_k w[ch0 + r, k] ·
+/// x[k, p])` over the row-panel weight (`PACK_MR`-row blocks, zero-padded
+/// past `O`), with each 4-channel × 24-pixel output tile held in 12 ymm
+/// accumulators across all of `k` and the bias, activation and fused add
+/// applied before its only store.
+///
+/// Bits match the portable `kernel_rows_with` + sweep path exactly: each
+/// lane starts at `+0.0` and takes `vmulps` then `vaddps` per `k` in order
+/// (never FMA), which is the scalar `acc + w·x` chain that `axpy4x4`,
+/// `axpy4` and `axpy1` keep through their `KB` blocks. The accumulator is
+/// never `-0.0`, so skipping the bias add when there is none equals the
+/// sweep's `+ 0.0`, and `_mm256_max_ps(v, 0)` returns `0` for a NaN `v` as
+/// `f32::max(v, 0)` does.
+///
+/// Column strips run outermost so a `[k, 24]` strip of the input stays in
+/// L1 while every row tile of the chunk sweeps it. A plane's tail takes one
+/// 16-wide and then 8-wide tiles; the last 8-wide tile may overlap the one
+/// before it, which recomputes and stores the same values. Rows past the
+/// chunk belong to the zero panel padding past `O` (chunks start at a
+/// multiple of `PACK_MR` channels or at a sample boundary): they are
+/// computed and never stored.
+#[cfg(target_arch = "x86_64")]
+mod pointwise_avx2 {
+    #![allow(unsafe_code)]
+
+    use std::arch::x86_64::{
+        __m256, _mm256_add_ps, _mm256_loadu_ps, _mm256_max_ps, _mm256_mul_ps, _mm256_set1_ps,
+        _mm256_setzero_ps, _mm256_storeu_ps,
+    };
+
+    use super::RowEpilogue;
+    use crate::ops::conv::PACK_MR;
+
+    /// Output channels per register tile.
+    const TILE_ROWS: usize = 4;
+
+    /// Operands of one `[rows, n]` output span.
+    #[derive(Clone, Copy)]
+    pub(super) struct Span<'a> {
+        /// Row-panel weight of the whole `[O, k]` operand.
+        pub panels: &'a [f32],
+        /// The `[k, n]` input (one sample, or its strided gather).
+        pub x: &'a [f32],
+        /// First output channel of the span within its sample.
+        pub ch0: usize,
+        /// Output channels in the span.
+        pub rows: usize,
+        /// Input channels.
+        pub k: usize,
+        /// Output pixels per channel.
+        pub n: usize,
+        /// Per-channel bias of the whole layer.
+        pub bias: Option<&'a [f32]>,
+        /// Epilogue, its operand narrowed to the span.
+        pub epi: RowEpilogue<'a>,
+    }
+
+    /// Computes and stores the whole span. Panics unless `s.n >= 8`,
+    /// `s.ch0` is a multiple of `PACK_MR` and every operand covers the
+    /// span: the tiles' raw loads and stores rely on exactly these extents
+    /// (a bias is indexed with bounds checks).
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2.
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn span(s: Span<'_>, dst: &mut [f32]) {
+        let (n, rows) = (s.n, s.rows);
+        assert!(n >= 8 && s.ch0.is_multiple_of(PACK_MR), "1x1 tile geometry");
+        assert!(
+            s.x.len() >= s.k * n && dst.len() >= rows * n,
+            "1x1 tile extents"
+        );
+        // Row tiles read whole 4-row halves of the padded `PACK_MR` blocks.
+        let blocks = (s.ch0 + rows).div_ceil(PACK_MR);
+        assert!(s.panels.len() >= blocks * PACK_MR * s.k, "1x1 tile panels");
+        if let RowEpilogue::AddRelu(o) | RowEpilogue::ReluAdd(o) = s.epi {
+            assert!(o.len() >= rows * n, "fused-add operand spans the output");
+        }
+        // SAFETY: AVX2 per the contract; the extents the tiles rely on are
+        // asserted above.
+        unsafe {
+            let mut j = 0;
+            while j + 24 <= n {
+                strip::<3>(s, dst, j);
+                j += 24;
+            }
+            if j + 16 <= n {
+                strip::<2>(s, dst, j);
+                j += 16;
+            }
+            while j < n {
+                let j0 = j.min(n - 8);
+                strip::<1>(s, dst, j0);
+                j = j0 + 8;
+            }
+        }
+    }
+
+    /// One `8·V`-column strip at column `j0`, every row tile of the span.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2, the extents `span` asserts, and `j0 + 8·V <= s.n`.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn strip<const V: usize>(s: Span<'_>, dst: &mut [f32], j0: usize) {
+        let mut t = 0;
+        while t < s.rows {
+            let gi = s.ch0 + t;
+            // Row `gi`'s weights sit at `(gi / 8) * k * 8 + gi % 8`, the
+            // next `k` steps `PACK_MR` apart; a 4-row tile is half a block.
+            let a = (gi / PACK_MR) * s.k * PACK_MR + gi % PACK_MR;
+            // SAFETY: forwarded from this function's contract; `gi` is a
+            // multiple of 4 because `ch0` is one of `PACK_MR`.
+            unsafe { tile::<V>(s, dst, a, t, j0) };
+            t += TILE_ROWS;
+        }
+    }
+
+    /// One `4 × 8·V` tile: rows `t..t + 4` of the span, columns
+    /// `j0..j0 + 8·V`, weights from panel offset `a`.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2, the extents `span` asserts, `j0 + 8·V <= s.n`, and
+    /// `a` the panel offset of span row `t`, a multiple of 4.
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    unsafe fn tile<const V: usize>(s: Span<'_>, dst: &mut [f32], a: usize, t: usize, j0: usize) {
+        // SAFETY: by the extents `span` asserts, every panel read
+        // `a + kk * PACK_MR + q` lies in the padded block of row `t + q`
+        // (`a % PACK_MR` is 0 or 4), every input load `kk * n + j0..+8·V`
+        // in `x`, and every store and operand load `(t + q) * n + j0..+8·V`
+        // (for `t + q < rows`) in `dst` / the operand, since
+        // `j0 + 8·V <= n`.
+        unsafe {
+            let (pa, px) = (s.panels.as_ptr().add(a), s.x.as_ptr().add(j0));
+            let mut acc = [[_mm256_setzero_ps(); V]; TILE_ROWS];
+            for kk in 0..s.k {
+                let xr = px.add(kk * s.n);
+                let mut xv = [_mm256_setzero_ps(); V];
+                for (v, x) in xv.iter_mut().enumerate() {
+                    *x = _mm256_loadu_ps(xr.add(8 * v));
+                }
+                let wk = pa.add(kk * PACK_MR);
+                for (q, row) in acc.iter_mut().enumerate() {
+                    let wq = _mm256_set1_ps(*wk.add(q));
+                    for (r, &x) in row.iter_mut().zip(&xv) {
+                        *r = _mm256_add_ps(*r, _mm256_mul_ps(wq, x));
+                    }
+                }
+            }
+            let zero = _mm256_setzero_ps();
+            // A constant trip count keeps the accumulators in registers;
+            // rows past the span are panel padding and never stored.
+            for (q, row) in acc.iter().enumerate() {
+                if t + q >= s.rows {
+                    break;
+                }
+                let off = (t + q) * s.n + j0;
+                let d = dst.as_mut_ptr().add(off);
+                let b = s.bias.map(|bv| _mm256_set1_ps(bv[s.ch0 + t + q]));
+                for (v, &r) in row.iter().enumerate() {
+                    let v8 = 8 * v;
+                    let y: __m256 = match b {
+                        Some(b) => _mm256_add_ps(r, b),
+                        None => r,
+                    };
+                    let y = match s.epi {
+                        RowEpilogue::None => y,
+                        RowEpilogue::Relu => _mm256_max_ps(y, zero),
+                        RowEpilogue::AddRelu(o) => {
+                            let e = _mm256_loadu_ps(o.as_ptr().add(off + v8));
+                            _mm256_max_ps(_mm256_add_ps(y, e), zero)
+                        }
+                        RowEpilogue::ReluAdd(o) => {
+                            let e = _mm256_loadu_ps(o.as_ptr().add(off + v8));
+                            _mm256_add_ps(_mm256_max_ps(y, zero), e)
+                        }
+                    };
+                    _mm256_storeu_ps(d.add(v8), y);
+                }
+            }
+        }
+    }
+}
+
 /// Forward kernel for output channels `ch0..ch0+rows` of one sample.
 /// `dst` is the `[rows, OH*OW]` output span, zero-initialized by the caller.
 #[allow(clippy::too_many_arguments)] // internal kernel plumbing, not public API
@@ -1287,27 +1501,48 @@ fn forward_sample_rows(
 ) {
     let spatial = g.spatial();
     match g.path() {
-        ConvPath::MatmulOneByOne if g.stride == 1 => {
-            // The sample *is* the `[C, H*W]` patch matrix.
-            kernel_rows_with(|i, kk| pv.a_at(i, kk), sample, dst, ch0, rows, g.c, spatial);
-        }
         ConvPath::MatmulOneByOne => {
-            // Strided 1×1: gather the subsampled `[C, OH*OW]` operand, then
-            // one matmul. Still no kh/kw unfold.
-            let mut cols = arena::take(g.c * spatial);
-            for ci in 0..g.c {
-                let plane = &sample[ci * g.h * g.w..(ci + 1) * g.h * g.w];
-                let dst_row = &mut cols[ci * spatial..(ci + 1) * spatial];
-                let mut t = 0;
-                for ohi in 0..g.oh {
-                    let in_row = &plane[ohi * g.stride * g.w..];
-                    for owi in 0..g.ow {
-                        dst_row[t] = in_row[owi * g.stride];
-                        t += 1;
+            // Stride 1: the sample *is* the `[C, H*W]` patch matrix. Strided:
+            // gather the subsampled `[C, OH*OW]` operand first. Still no
+            // kh/kw unfold either way.
+            let mut cols = arena::take(if g.stride == 1 { 0 } else { g.c * spatial });
+            if g.stride != 1 {
+                for ci in 0..g.c {
+                    let plane = &sample[ci * g.h * g.w..(ci + 1) * g.h * g.w];
+                    let dst_row = &mut cols[ci * spatial..(ci + 1) * spatial];
+                    let mut t = 0;
+                    for ohi in 0..g.oh {
+                        let in_row = &plane[ohi * g.stride * g.w..];
+                        for owi in 0..g.ow {
+                            dst_row[t] = in_row[owi * g.stride];
+                            t += 1;
+                        }
                     }
                 }
             }
-            kernel_rows_with(|i, kk| pv.a_at(i, kk), &cols, dst, ch0, rows, g.c, spatial);
+            let x: &[f32] = if g.stride == 1 { sample } else { &cols };
+            // Planes narrower than one 8-lane vector, and hosts without
+            // AVX2, take the portable GEMM and the sweep below.
+            #[cfg(target_arch = "x86_64")]
+            if spatial >= 8 && have_avx2() {
+                let span = pointwise_avx2::Span {
+                    panels: pv.panels,
+                    x,
+                    ch0,
+                    rows,
+                    k: g.c,
+                    n: spatial,
+                    bias,
+                    epi: epilogue,
+                };
+                // SAFETY: AVX2 verified; `span` asserts the extents.
+                #[allow(unsafe_code)]
+                unsafe {
+                    pointwise_avx2::span(span, dst);
+                }
+                return;
+            }
+            kernel_rows_with(|i, kk| pv.a_at(i, kk), x, dst, ch0, rows, g.c, spatial);
         }
         ConvPath::Direct3x3 => {
             direct3x3_rows(sample, pv.weight, dst, ch0, rows, g.c, g.h, g.w);
@@ -1339,9 +1574,21 @@ fn forward_sample_rows(
             }
         }
     }
-    // Bias and epilogue fold into one sweep while the tile is cache-hot:
-    // the per-channel bias add, the activation and the fused elementwise
-    // merge never become separate passes over a cold output.
+    sweep_epilogue(dst, ch0, rows, spatial, bias, epilogue);
+}
+
+/// Bias and epilogue fold into one sweep over a `[rows, spatial]` output
+/// span while it is cache-hot: the per-channel bias add, the activation and
+/// the fused elementwise merge never become separate passes over a cold
+/// output.
+fn sweep_epilogue(
+    dst: &mut [f32],
+    ch0: usize,
+    rows: usize,
+    spatial: usize,
+    bias: Option<&[f32]>,
+    epilogue: RowEpilogue<'_>,
+) {
     if bias.is_none() && matches!(epilogue, RowEpilogue::None) {
         return;
     }
@@ -1424,6 +1671,7 @@ fn conv2d_forward_view(
             let mut off = 0;
             while off < chunk.len() {
                 let (ni, ch0) = (row / g.o.max(1), row % g.o.max(1));
+                debug_assert_eq!(ch0 % PACK_MR, 0, "spans start on a panel block");
                 let rows = (g.o - ch0).min((chunk.len() - off) / spatial.max(1));
                 let sample = &iv[ni * g.in_sample()..(ni + 1) * g.in_sample()];
                 let seg = row * spatial..(row + rows) * spatial;
@@ -2662,26 +2910,66 @@ pub(crate) fn maxpool2d_forward(input: &Tensor, k: usize) -> Result<(Tensor, Max
     ))
 }
 
+/// Row-pair 2×2 / stride 2 max-pool over whole planes: `dst` holds the
+/// pooled `[H/2, W/2]` planes of the `[H, W]` planes at the start of `src`.
+/// Each output takes the naive loop's exact chain
+/// `NEG_INFINITY.max(x00).max(x01).max(x10).max(x11)` (`ki → kj` order), so
+/// NaN, ±Inf and ±0 inputs give the same bits; a pairwise tree or
+/// `_mm256_max_ps` would not, as their NaN rules differ. An odd last row or
+/// column is dropped, as in the naive loop. Codegens twice (baseline +
+/// AVX2); call through [`maxpool2x2_planes`].
+#[inline(always)]
+fn maxpool2x2_planes_body(src: &[f32], dst: &mut [f32], h: usize, w: usize) {
+    let (oh, ow) = (h / 2, w / 2);
+    for (plane, out) in src.chunks_exact(h * w).zip(dst.chunks_exact_mut(oh * ow)) {
+        for (i, o_row) in out.chunks_exact_mut(ow).enumerate() {
+            let r0 = &plane[2 * i * w..][..2 * ow];
+            let r1 = &plane[(2 * i + 1) * w..][..2 * ow];
+            for ((o, a), b) in o_row
+                .iter_mut()
+                .zip(r0.chunks_exact(2))
+                .zip(r1.chunks_exact(2))
+            {
+                *o = f32::NEG_INFINITY.max(a[0]).max(a[1]).max(b[0]).max(b[1]);
+            }
+        }
+    }
+}
+
+simd_dispatch!(fn maxpool2x2_planes / maxpool2x2_planes_avx2 / maxpool2x2_planes_body
+<>(src: &[f32], dst: &mut [f32], h: usize, w: usize));
+
 /// Inference max pooling: no argmax bookkeeping, so the only allocation is
 /// the pooled output tensor (the training variant also builds a
-/// full-output-size winner index).
+/// full-output-size winner index). The 2×2 window runs the row-pair kernel
+/// inline below [`MIN_PAR_POOL2_ELEMS`] and chunked above it; other windows
+/// keep the per-element loop.
 pub(crate) fn maxpool2d_eval(input: &Tensor, k: usize) -> Result<Tensor> {
     let (n, c, h, w) = check_nchw(input, "maxpool2d")?;
     let oh = conv_output_size(h, k, k, 0)?;
     let ow = conv_output_size(w, k, k, 0)?;
-    if n * c * h * w < MIN_PAR_ELEMS {
+    let elems = n * c * h * w;
+    if k != 2 && elems < MIN_PAR_ELEMS {
         return crate::ops::pool::maxpool2d_eval_naive(input, k);
     }
     let planes = n * c;
     let out_plane = oh * ow;
     let mut out = Tensor::zeros(&[n, c, oh, ow]);
     let iv = input.as_slice();
-    let planes_per = planes.div_ceil(par::max_threads()).max(1);
+    let planes_per = if k == 2 && elems < MIN_PAR_POOL2_ELEMS {
+        planes.max(1)
+    } else {
+        planes.div_ceil(par::max_threads()).max(1)
+    };
     par::for_each_chunk_mut(
         out.as_mut_slice(),
         planes_per * out_plane.max(1),
         |chunk_i, oc| {
             let p0 = chunk_i * planes_per;
+            if k == 2 {
+                maxpool2x2_planes(&iv[p0 * h * w..], oc, h, w);
+                return;
+            }
             for (local, op) in oc.chunks_mut(out_plane.max(1)).enumerate() {
                 let plane_base = (p0 + local) * h * w;
                 let mut oidx = 0usize;
@@ -2802,4 +3090,80 @@ pub(crate) fn avgpool2d_global_backward(grad_out: &Tensor, input_dims: &[usize])
         },
     );
     Ok(grad_input)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::init;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    /// The AVX2 1×1 tile against the portable GEMM plus sweep it replaces,
+    /// called directly: depths on both sides of the `KB` block, plane
+    /// widths with 16- and 8-wide tails (one overlapping), spans starting
+    /// at every `PACK_MR` block of a 21-channel layer (so the last row tile
+    /// reads panel padding), with and without a bias, every epilogue.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn avx2_pointwise_tile_matches_portable_gemm() {
+        if !have_avx2() {
+            return;
+        }
+        let mut rng = StdRng::seed_from_u64(41);
+        let o = 21;
+        for k in [1usize, 5, KB, KB + 1, 2 * KB + 3] {
+            let w = init::randn(&[o, k], 0.5, &mut rng);
+            let mut panels = vec![0.0; packed_panel_len(o, k)];
+            pack_panels_into(w.as_slice(), o, k, &mut panels);
+            let bias = init::randn(&[o], 0.1, &mut rng);
+            for n in [8usize, 13, 24, 40, 47, 64] {
+                let x = init::randn(&[k, n], 1.0, &mut rng);
+                let operand = init::randn(&[o, n], 1.0, &mut rng);
+                for ch0 in [0, 8, 16] {
+                    let rows = o - ch0;
+                    let t = &operand.as_slice()[ch0 * n..];
+                    for epi in [
+                        RowEpilogue::None,
+                        RowEpilogue::Relu,
+                        RowEpilogue::AddRelu(t),
+                        RowEpilogue::ReluAdd(t),
+                    ] {
+                        for b in [None, Some(bias.as_slice())] {
+                            let mut portable = vec![0.0; rows * n];
+                            let a_at = |i: usize, kk: usize| {
+                                panels[((i / PACK_MR) * k + kk) * PACK_MR + i % PACK_MR]
+                            };
+                            kernel_rows_with(a_at, x.as_slice(), &mut portable, ch0, rows, k, n);
+                            sweep_epilogue(&mut portable, ch0, rows, n, b, epi);
+                            let mut tiled = vec![f32::NAN; rows * n];
+                            let span = pointwise_avx2::Span {
+                                panels: &panels,
+                                x: x.as_slice(),
+                                ch0,
+                                rows,
+                                k,
+                                n,
+                                bias: b,
+                                epi,
+                            };
+                            // SAFETY: AVX2 checked above.
+                            #[allow(unsafe_code)]
+                            unsafe {
+                                pointwise_avx2::span(span, &mut tiled);
+                            }
+                            let bits =
+                                |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                            assert_eq!(
+                                bits(&tiled),
+                                bits(&portable),
+                                "k {k} n {n} ch0 {ch0} bias {}",
+                                b.is_some()
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
 }

@@ -25,10 +25,33 @@ use crate::{Shape, TensorError};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Serialize)]
 pub struct Tensor {
     data: Vec<f32>,
     shape: Shape,
+}
+
+// Decoding goes through `Tensor::from_vec`, so a checkpoint whose `data`
+// length disagrees with its `shape` (truncated, tampered, or with a shape
+// whose element count overflows) is a decode error instead of a tensor
+// that panics in the first kernel to index it. Same JSON as the derive.
+impl<'de> Deserialize<'de> for Tensor {
+    fn from_value(v: &serde::Value) -> std::result::Result<Self, serde::DeError> {
+        let data = Vec::<f32>::from_value(v.field("data"))?;
+        let shape = Shape::from_value(v.field("shape"))?;
+        if shape
+            .dims()
+            .iter()
+            .try_fold(1usize, |acc, &d| acc.checked_mul(d))
+            .is_none()
+        {
+            return Err(serde::DeError(format!(
+                "tensor shape {:?} has more elements than fit usize",
+                shape.dims()
+            )));
+        }
+        Tensor::from_vec(data, shape.dims()).map_err(|e| serde::DeError(format!("tensor: {e}")))
+    }
 }
 
 impl Tensor {

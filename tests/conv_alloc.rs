@@ -298,17 +298,69 @@ fn inference_steady_state() {
         assert_eq!(arena::reserved_elems(), arena_before, "{label}: arena grew");
     }
 
-    // Index-free eval pooling: no winners map, only the pooled output.
-    let _ = parallel.maxpool2d_eval(&x, 2).unwrap();
-    let a0 = allocated_bytes();
-    let pooled = parallel.maxpool2d_eval(&x, 2).unwrap();
-    let delta = allocated_bytes() - a0;
-    let budget = tensor_bytes(&pooled) + SLACK;
-    assert!(
-        delta <= budget,
-        "maxpool2d_eval: warmed call allocated {delta} B, budget {budget} B \
-         (an index map would roughly double the output bytes)"
-    );
+    // The 1×1 forward under every epilogue, with the AVX2 register tile
+    // (planes at least 8 wide, stride 1 and the strided gather) and the
+    // portable GEMM (a narrower plane): the strided gather is arena
+    // scratch, so each warmed call allocates only its output.
+    let w1 = init::randn(&[8, 8, 1, 1], 0.5, &mut rng);
+    let packed_1x1 = tbnet_tensor::ops::PackedConv2dWeight::new(&w1).unwrap();
+    for (xs, stride) in [
+        (x.clone(), 1),
+        (x.clone(), 2),
+        (init::randn(&[2, 8, 2, 3], 1.0, &mut rng), 1),
+    ] {
+        let probe = parallel
+            .conv2d_forward_fused(&xs, &packed_1x1, Some(&bias), stride, 0, Epilogue::None)
+            .unwrap();
+        let merge_1x1 = init::randn(probe.dims(), 1.0, &mut rng);
+        for (name, epi) in [
+            ("none", Epilogue::None),
+            ("relu", Epilogue::Relu),
+            ("add-relu", Epilogue::AddRelu(&merge_1x1)),
+            ("relu-add", Epilogue::ReluAdd(&merge_1x1)),
+        ] {
+            let label = format!("1x1 {:?} stride {stride} {name}", xs.dims());
+            let _ = parallel
+                .conv2d_forward_fused(&xs, &packed_1x1, Some(&bias), stride, 0, epi)
+                .unwrap();
+            let arena_before = arena::reserved_elems();
+            let a0 = allocated_bytes();
+            let out = parallel
+                .conv2d_forward_fused(&xs, &packed_1x1, Some(&bias), stride, 0, epi)
+                .unwrap();
+            let delta = allocated_bytes() - a0;
+            let budget = tensor_bytes(&out) + SLACK;
+            assert!(
+                delta <= budget,
+                "{label}: warmed forward allocated {delta} B, budget {budget} B"
+            );
+            assert_eq!(arena::reserved_elems(), arena_before, "{label}: arena grew");
+        }
+    }
+
+    // Index-free eval pooling: no winners map, only the pooled output, for
+    // the row-pair 2×2 kernel below and above its parallel floor (2^19
+    // input elements) and on an odd plane, and for the 3×3 per-element
+    // loop.
+    let big = init::randn(&[4, 32, 64, 64], 1.0, &mut rng);
+    let odd = init::randn(&[2, 8, 13, 11], 1.0, &mut rng);
+    for (label, input, k) in [
+        ("maxpool2d_eval 2x2 inline", &x, 2),
+        ("maxpool2d_eval 2x2 above the parallel floor", &big, 2),
+        ("maxpool2d_eval 2x2 odd plane", &odd, 2),
+        ("maxpool2d_eval 3x3", &odd, 3),
+    ] {
+        let _ = parallel.maxpool2d_eval(input, k).unwrap();
+        let a0 = allocated_bytes();
+        let pooled = parallel.maxpool2d_eval(input, k).unwrap();
+        let delta = allocated_bytes() - a0;
+        let budget = tensor_bytes(&pooled) + SLACK;
+        assert!(
+            delta <= budget,
+            "{label}: warmed call allocated {delta} B, budget {budget} B \
+             (an index map would roughly double the output bytes)"
+        );
+    }
 
     // The one-pass depthwise forward with every fused epilogue: its
     // zero-bordered plane copy is arena scratch. The planes are large
@@ -342,7 +394,6 @@ fn inference_steady_state() {
     // Int8 forward, one kernel per weight layout (tap quads, channel quads,
     // depthwise): u8 images, planes and panels all come from the byte arena
     // once warm.
-    let w1 = init::randn(&[8, 8, 1, 1], 0.5, &mut rng);
     let act = ActQuant::from_tensor(&xd);
     for (label, qw, pad) in [
         ("int8 3x3", QuantConv2dWeight::quantize(&w3).unwrap(), 1),

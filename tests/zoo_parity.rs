@@ -2,13 +2,14 @@
 //! 3×3 stencil, the widened direct 5×5 stencil and the depthwise per-channel
 //! kernels must agree with the `Naive` reference within 1e-5 — forward,
 //! backward, packed-weight and fused-epilogue entry points alike — across
-//! stride/pad/batch edge geometries. The depthwise forward and fused forward
-//! keep the oracle's per-element arithmetic, so they must match it bit for
-//! bit.
+//! stride/pad/batch edge geometries. The depthwise forward and fused forward,
+//! the 1×1 forward, the 2×2 eval max-pool and the direct 3×3 remainder
+//! channels keep the oracle's per-element arithmetic, so they must match it
+//! bit for bit.
 
 use rand::rngs::StdRng;
-use rand::SeedableRng;
-use tbnet_tensor::ops::{conv_output_size, Epilogue, PackedConv2dWeight};
+use rand::{Rng, SeedableRng};
+use tbnet_tensor::ops::{apply_epilogue, conv_output_size, Epilogue, PackedConv2dWeight};
 use tbnet_tensor::{init, par, Backend, BackendKind, Tensor};
 
 /// Force multi-chunk code paths even on single-core hosts (see
@@ -351,6 +352,174 @@ fn depthwise_rejects_bad_shapes() {
                 "backward accepted weight {:?}",
                 bad.dims()
             );
+        }
+    }
+}
+
+/// The 1×1 forward keeps the oracle's per-element arithmetic on both of its
+/// paths — the AVX2 register tile with its epilogue in registers (planes at
+/// least 8 wide) and the portable GEMM plus sweep (narrower planes) — so it
+/// matches bit for bit: every epilogue with and without a bias, channel
+/// counts that leave partial row tiles, planes narrower than 8 or not a
+/// multiple of 8 or 24, batch 1 and 3, stride 1 and 2, and 1, 2 and 4
+/// threads (so chunks start at channel offsets that are multiples of 8).
+#[test]
+fn pointwise_matches_oracle_bitwise() {
+    let mut rng = StdRng::seed_from_u64(81);
+    let mut case = 0usize;
+    for c in [1usize, 3, 15, 24, 91] {
+        for o in [1usize, 3, 4, 5, 22, 94] {
+            for (h, w) in [(1, 1), (2, 3), (4, 4), (7, 9), (8, 8), (16, 16), (32, 32)] {
+                // Batch and stride alternate with coprime periods, so every
+                // pairing meets every channel count.
+                case += 1;
+                let n = if case.is_multiple_of(2) { 1 } else { 3 };
+                let stride = if case.is_multiple_of(3) { 2 } else { 1 };
+                let x = init::randn(&[n, c, h, w], 1.0, &mut rng);
+                let wt = init::randn(&[o, c, 1, 1], 0.5, &mut rng);
+                let bias = init::randn(&[o], 0.1, &mut rng);
+                let packed = PackedConv2dWeight::new(&wt).unwrap();
+                // The oracle's fused forward is its plain forward followed
+                // by `apply_epilogue`; run the forward once per bias.
+                let plain = [None, Some(&bias)].map(|b| {
+                    naive()
+                        .conv2d_forward_packed(&x, &packed, b, stride, 0)
+                        .unwrap()
+                });
+                let operand = init::randn(plain[0].dims(), 1.0, &mut rng);
+                let epilogues = [
+                    (Epilogue::None, "none"),
+                    (Epilogue::Relu, "relu"),
+                    (Epilogue::AddRelu(&operand), "add_relu"),
+                    (Epilogue::ReluAdd(&operand), "relu_add"),
+                ];
+                for threads in [1usize, 2, 4] {
+                    par::set_max_threads(threads);
+                    for (b, base) in [None, Some(&bias)].into_iter().zip(&plain) {
+                        for (epi, name) in epilogues {
+                            let mut want = base.clone();
+                            apply_epilogue(&mut want, epi).unwrap();
+                            let got = parallel()
+                                .conv2d_forward_fused(&x, &packed, b, stride, 0, epi)
+                                .unwrap();
+                            bitwise(
+                                &want,
+                                &got,
+                                &format!(
+                                    "1x1 {c}->{o} {h}x{w} n{n} s{stride} t{threads} {name} bias {}",
+                                    b.is_some()
+                                ),
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+    pin_threads();
+}
+
+/// Random values with NaN, ±Inf and ±0.0 mixed in, so every ordering rule
+/// of `f32::max` is exercised inside one window.
+fn special_values(dims: &[usize], rng: &mut StdRng) -> Tensor {
+    let mut t = init::randn(dims, 1.0, rng);
+    for x in t.as_mut_slice() {
+        *x = match rng.gen_range(0..8) {
+            0 => f32::NAN,
+            1 => f32::INFINITY,
+            2 => f32::NEG_INFINITY,
+            3 => 0.0,
+            4 => -0.0,
+            _ => *x,
+        };
+    }
+    t
+}
+
+/// The row-pair 2×2 eval max-pool keeps the naive loop's exact `f32::max`
+/// chain per output, so NaN, ±Inf and ±0.0 inputs give the same bits, at
+/// odd heights and widths, on both its inline path and its chunked path
+/// (inputs of 2^19 elements or more). The 3×3 window stays on the
+/// per-element loop and must agree too.
+#[test]
+fn maxpool_eval_matches_oracle_bitwise() {
+    pin_threads();
+    let mut rng = StdRng::seed_from_u64(91);
+    for (dims, k) in [
+        ([1usize, 3, 5, 7], 2),
+        ([2, 4, 3, 2], 2),
+        ([1, 22, 32, 32], 2),
+        ([3, 5, 9, 11], 2),
+        ([4, 64, 45, 47], 2),
+        ([2, 3, 7, 8], 3),
+        ([3, 64, 45, 47], 3),
+    ] {
+        let x = special_values(&dims, &mut rng);
+        let want = naive().maxpool2d_eval(&x, k).unwrap();
+        let got = parallel().maxpool2d_eval(&x, k).unwrap();
+        bitwise(&want, &got, &format!("maxpool k{k} {dims:?}"));
+    }
+    // Windows of signed zeros only: which zero wins is decided by the
+    // order of the `max` calls alone.
+    let mut zeros = Tensor::zeros(&[1, 2, 6, 6]);
+    for (i, x) in zeros.as_mut_slice().iter_mut().enumerate() {
+        if (i * 7) % 3 == 0 {
+            *x = -0.0;
+        }
+    }
+    bitwise(
+        &naive().maxpool2d_eval(&zeros, 2).unwrap(),
+        &parallel().maxpool2d_eval(&zeros, 2).unwrap(),
+        "maxpool signed zeros",
+    );
+}
+
+/// The direct 3×3 stencil's remainder channels (the last `O % 4` of each
+/// sample) run the portable stencil without FMA, so they match the oracle
+/// bit for bit; the 4-channel blocks before them may use FMA and are held
+/// to the usual tolerance.
+#[test]
+fn direct_3x3_remainder_rows_match_oracle_bitwise() {
+    pin_threads();
+    let mut rng = StdRng::seed_from_u64(101);
+    for o in [1usize, 2, 3, 5, 13, 15] {
+        for (c, h, w) in [(3, 32, 32), (5, 7, 9)] {
+            let x = init::randn(&[2, c, h, w], 1.0, &mut rng);
+            let wt = init::randn(&[o, c, 3, 3], 0.5, &mut rng);
+            let bias = init::randn(&[o], 0.1, &mut rng);
+            let packed = PackedConv2dWeight::new(&wt).unwrap();
+            let operand = init::randn(&[2, o, h, w], 1.0, &mut rng);
+            for (epi, name) in [
+                (Epilogue::None, "none"),
+                (Epilogue::Relu, "relu"),
+                (Epilogue::ReluAdd(&operand), "relu_add"),
+            ] {
+                let want = naive()
+                    .conv2d_forward_fused(&x, &packed, Some(&bias), 1, 1, epi)
+                    .unwrap();
+                let got = parallel()
+                    .conv2d_forward_fused(&x, &packed, Some(&bias), 1, 1, epi)
+                    .unwrap();
+                let label = format!("3x3 {c}->{o} {h}x{w} {name}");
+                close(&want, &got, &label);
+                let plane = h * w;
+                for ni in 0..2 {
+                    for oi in o / 4 * 4..o {
+                        let span = (ni * o + oi) * plane..(ni * o + oi + 1) * plane;
+                        for (i, (a, b)) in want.as_slice()[span.clone()]
+                            .iter()
+                            .zip(&got.as_slice()[span])
+                            .enumerate()
+                        {
+                            assert_eq!(
+                                a.to_bits(),
+                                b.to_bits(),
+                                "{label} remainder channel {oi} sample {ni} [{i}]: {a} vs {b}"
+                            );
+                        }
+                    }
+                }
+            }
         }
     }
 }
