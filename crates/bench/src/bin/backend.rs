@@ -188,7 +188,10 @@ fn main() {
         },
     ));
 
-    // The 1x1 dispatch path (pure strided matmul, no unfold).
+    // The 1x1 dispatch path (no unfold), one row on each side of the
+    // per-sample input size at which the register tile hands over to the
+    // row GEMM: 64 channels at 32x32 (65,536 elements) take the row GEMM,
+    // 24 channels (24,576, the largest deployed pointwise input) the tile.
     let w1 = init::randn(&[64, 64, 1, 1], 0.1, &mut rng);
     let packed1 = PackedConv2dWeight::new(&w1).unwrap();
     results.push(compare(
@@ -199,6 +202,20 @@ fn main() {
         || {
             parallel
                 .conv2d_forward_packed(&x, &packed1, None, 1, 0)
+                .unwrap()
+        },
+    ));
+    let x24 = init::randn(&[8, 24, 32, 32], 1.0, &mut rng);
+    let w24 = init::randn(&[24, 24, 1, 1], 0.1, &mut rng);
+    let packed24 = PackedConv2dWeight::new(&w24).unwrap();
+    results.push(compare(
+        "conv2d_fwd_1x1",
+        "8x24x32x32 * 24x24x1x1",
+        reps,
+        || naive.conv2d_forward(&x24, &w24, None, 1, 0).unwrap(),
+        || {
+            parallel
+                .conv2d_forward_packed(&x24, &packed24, None, 1, 0)
                 .unwrap()
         },
     ));

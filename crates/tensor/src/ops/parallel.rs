@@ -28,7 +28,8 @@
 //!    shape-dispatches 1×1 and 3×3/s1/p1 geometries to unfold-free kernels.
 //!    The 1×1 forward keeps each output tile in registers across all of `k`
 //!    and applies its epilogue before the only store, so an output is
-//!    written once and never re-read.
+//!    written once and never re-read (inputs up to [`MAX_TILE_INPUT`]
+//!    elements per sample; larger ones stream through the row GEMM).
 //! 3. **Zero steady-state allocation.** Every transient buffer — im2col
 //!    panels, operand transposes, per-chunk gradient partials — is arena
 //!    scratch; after one warm-up call the hot path performs no heap
@@ -1273,6 +1274,20 @@ fn direct5x5_rows(
     }
 }
 
+/// Largest per-sample 1×1 input (`[C, OH*OW]` elements) that the AVX2
+/// register tile takes; larger inputs take the row GEMM and the epilogue
+/// sweep, which give the same bits. The tile walks its input in `[k, 24]`
+/// column strips, a line or two from each of `k` rows a plane row apart,
+/// while the row GEMM streams whole rows, and on large inputs the
+/// streaming wins. Measured on a 2-vCPU Xeon at one thread, batch 8, no
+/// bias (both paths called alternately in one process, medians over
+/// 60–300 rounds, where identical code reads up to ±7% apart): up to 2^15
+/// elements the tile takes 0.87–1.06× the row GEMM's time (64→64 on 14×14
+/// to 20×20 planes, 128→128 on 14×14 and 16×16, 16 to 32 channels on
+/// 30×30, every deployed pointwise shape), past it 1.13–1.31× for 64→64 on
+/// 28×28 to 36×36 planes and 1.09–1.15× for 96→96 and 128→128 on 30×30.
+const MAX_TILE_INPUT: usize = 1 << 15;
+
 /// Per-segment epilogue operand: the same variants as
 /// [`Epilogue`](crate::ops::conv::Epilogue), with the fused-add tensor
 /// already narrowed to the slice aligned with the `[rows, OH*OW]` output
@@ -1296,6 +1311,39 @@ impl RowEpilogue<'_> {
             RowEpilogue::ReluAdd(t) => v.max(0.0) + t[k],
         }
     }
+
+    /// [`apply`](Self::apply) on the 8 biased outputs at offsets
+    /// `k..k + 8`, in registers, for the AVX2 kernels. Bit for bit the
+    /// scalar epilogue: `_mm256_max_ps(v, 0)` returns `0` for a NaN `v` as
+    /// `f32::max(v, 0.0)` does, and the fused add lands before or after it
+    /// as the variant says. (Both agree on a `+0.0`/`-0.0` tie only because
+    /// the kernels' accumulators start at `+0.0` and so are never `-0.0`.)
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX2, and a fused-add operand of at least `k + 8` elements.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    #[inline]
+    #[allow(unsafe_code)]
+    unsafe fn apply8(self, v: std::arch::x86_64::__m256, k: usize) -> std::arch::x86_64::__m256 {
+        use std::arch::x86_64::{_mm256_add_ps, _mm256_loadu_ps, _mm256_max_ps, _mm256_setzero_ps};
+        // SAFETY: AVX2 per the contract, and a fused-add operand holds
+        // `k + 8` elements.
+        unsafe {
+            let zero = _mm256_setzero_ps();
+            match self {
+                RowEpilogue::None => v,
+                RowEpilogue::Relu => _mm256_max_ps(v, zero),
+                RowEpilogue::AddRelu(t) => {
+                    _mm256_max_ps(_mm256_add_ps(v, _mm256_loadu_ps(t.as_ptr().add(k))), zero)
+                }
+                RowEpilogue::ReluAdd(t) => {
+                    _mm256_add_ps(_mm256_max_ps(v, zero), _mm256_loadu_ps(t.as_ptr().add(k)))
+                }
+            }
+        }
+    }
 }
 
 /// AVX2 1×1 GEMM microkernel: `dst[r, p] = epi(b + Σ_k w[ch0 + r, k] ·
@@ -1309,23 +1357,25 @@ impl RowEpilogue<'_> {
 /// (never FMA), which is the scalar `acc + w·x` chain that `axpy4x4`,
 /// `axpy4` and `axpy1` keep through their `KB` blocks. The accumulator is
 /// never `-0.0`, so skipping the bias add when there is none equals the
-/// sweep's `+ 0.0`, and `_mm256_max_ps(v, 0)` returns `0` for a NaN `v` as
-/// `f32::max(v, 0)` does.
+/// sweep's `+ 0.0`; the epilogue is [`RowEpilogue::apply8`], shared with
+/// the depthwise row kernel.
 ///
-/// Column strips run outermost so a `[k, 24]` strip of the input stays in
-/// L1 while every row tile of the chunk sweeps it. A plane's tail takes one
-/// 16-wide and then 8-wide tiles; the last 8-wide tile may overlap the one
-/// before it, which recomputes and stores the same values. Rows past the
-/// chunk belong to the zero panel padding past `O` (chunks start at a
-/// multiple of `PACK_MR` channels or at a sample boundary): they are
-/// computed and never stored.
+/// Column strips run outermost, so every row tile of the span sweeps the
+/// same `[k, 24]` strip of the input while it is cached (in L2 rather than
+/// L1 where the strip's rows alias a few L1 sets, as the 4 KiB rows of a
+/// 32×32 plane do). Inputs past [`MAX_TILE_INPUT`] take the row GEMM
+/// instead. A plane's tail takes one 16-wide and then 8-wide tiles; the
+/// last 8-wide tile may overlap the one before it, which recomputes and
+/// stores the same values. Rows past the chunk belong to the zero panel
+/// padding past `O` (chunks start at a multiple of `PACK_MR` channels or at
+/// a sample boundary): they are computed and never stored.
 #[cfg(target_arch = "x86_64")]
 mod pointwise_avx2 {
     #![allow(unsafe_code)]
 
     use std::arch::x86_64::{
-        __m256, _mm256_add_ps, _mm256_loadu_ps, _mm256_max_ps, _mm256_mul_ps, _mm256_set1_ps,
-        _mm256_setzero_ps, _mm256_storeu_ps,
+        _mm256_add_ps, _mm256_loadu_ps, _mm256_mul_ps, _mm256_set1_ps, _mm256_setzero_ps,
+        _mm256_storeu_ps,
     };
 
     use super::RowEpilogue;
@@ -1451,7 +1501,6 @@ mod pointwise_avx2 {
                     }
                 }
             }
-            let zero = _mm256_setzero_ps();
             // A constant trip count keeps the accumulators in registers;
             // rows past the span are panel padding and never stored.
             for (q, row) in acc.iter().enumerate() {
@@ -1462,24 +1511,11 @@ mod pointwise_avx2 {
                 let d = dst.as_mut_ptr().add(off);
                 let b = s.bias.map(|bv| _mm256_set1_ps(bv[s.ch0 + t + q]));
                 for (v, &r) in row.iter().enumerate() {
-                    let v8 = 8 * v;
-                    let y: __m256 = match b {
+                    let y = match b {
                         Some(b) => _mm256_add_ps(r, b),
                         None => r,
                     };
-                    let y = match s.epi {
-                        RowEpilogue::None => y,
-                        RowEpilogue::Relu => _mm256_max_ps(y, zero),
-                        RowEpilogue::AddRelu(o) => {
-                            let e = _mm256_loadu_ps(o.as_ptr().add(off + v8));
-                            _mm256_max_ps(_mm256_add_ps(y, e), zero)
-                        }
-                        RowEpilogue::ReluAdd(o) => {
-                            let e = _mm256_loadu_ps(o.as_ptr().add(off + v8));
-                            _mm256_add_ps(_mm256_max_ps(y, zero), e)
-                        }
-                    };
-                    _mm256_storeu_ps(d.add(v8), y);
+                    _mm256_storeu_ps(d.add(8 * v), s.epi.apply8(y, off + 8 * v));
                 }
             }
         }
@@ -1521,10 +1557,11 @@ fn forward_sample_rows(
                 }
             }
             let x: &[f32] = if g.stride == 1 { sample } else { &cols };
-            // Planes narrower than one 8-lane vector, and hosts without
-            // AVX2, take the portable GEMM and the sweep below.
+            // Planes narrower than one 8-lane vector, inputs past
+            // `MAX_TILE_INPUT`, and hosts without AVX2 take the portable
+            // GEMM and the sweep below; both give the same bits.
             #[cfg(target_arch = "x86_64")]
-            if spatial >= 8 && have_avx2() {
+            if spatial >= 8 && g.c * spatial <= MAX_TILE_INPUT && have_avx2() {
                 let span = pointwise_avx2::Span {
                     panels: pv.panels,
                     x,
@@ -2076,8 +2113,8 @@ mod dw3x3_avx2 {
     #![allow(unsafe_code)]
 
     use std::arch::x86_64::{
-        __m256, _mm256_add_ps, _mm256_loadu_ps, _mm256_max_ps, _mm256_mul_ps, _mm256_set1_ps,
-        _mm256_setzero_ps, _mm256_storeu_ps,
+        __m256, _mm256_add_ps, _mm256_loadu_ps, _mm256_mul_ps, _mm256_set1_ps, _mm256_setzero_ps,
+        _mm256_storeu_ps,
     };
 
     use super::RowEpilogue;
@@ -2108,10 +2145,6 @@ mod dw3x3_avx2 {
             for (v, &x) in tv.iter_mut().zip(t) {
                 *v = _mm256_set1_ps(x);
             }
-            let operand = match epi {
-                RowEpilogue::AddRelu(o) | RowEpilogue::ReluAdd(o) => o.as_ptr(),
-                _ => std::ptr::null(),
-            };
             for i in 0..h {
                 let p = padded.as_ptr().add(i * pitch);
                 let d = dst.as_mut_ptr().add(i * w);
@@ -2125,19 +2158,7 @@ mod dw3x3_avx2 {
                             acc = _mm256_add_ps(acc, _mm256_mul_ps(tv[ki * 3 + kj], x));
                         }
                     }
-                    let v = _mm256_add_ps(acc, bv);
-                    let v = match epi {
-                        RowEpilogue::None => v,
-                        RowEpilogue::Relu => _mm256_max_ps(v, zero),
-                        RowEpilogue::AddRelu(_) => {
-                            let e = _mm256_loadu_ps(operand.add(i * w + j0));
-                            _mm256_max_ps(_mm256_add_ps(v, e), zero)
-                        }
-                        RowEpilogue::ReluAdd(_) => {
-                            let e = _mm256_loadu_ps(operand.add(i * w + j0));
-                            _mm256_add_ps(_mm256_max_ps(v, zero), e)
-                        }
-                    };
+                    let v = epi.apply8(_mm256_add_ps(acc, bv), i * w + j0);
                     _mm256_storeu_ps(d.add(j0), v);
                     if j0 + 8 >= w {
                         break;

@@ -6,7 +6,8 @@ flips which side runs first on every pair, so a drift of the host (thermal,
 a neighbour's load) lands on both sides alike. Each run's last stdout line
 is perfbench's JSON result; every run is logged as a `side pair {json}`
 line, the format the verify skill's shell loop writes, so a log can be
-re-read later with `--from`.
+re-read later with `--from`. Each run lasts BENCHMARK.json's
+`run_seconds`, the length the benchmark itself runs.
 
 Per metric it prints:
 
@@ -18,13 +19,13 @@ Per metric it prints:
 
 A metric's change is called resolved only when that interval excludes
 zero; otherwise it is unresolved, whatever the medians say. Directions
-(lower or higher is better) come from BENCHMARK.json's metric lists when
-it is found. The script only reads perfbench's output: it reports
-evidence, and BENCHMARK.json's bounds still decide.
+(lower or higher is better) come from BENCHMARK.json's metric lists. The
+script only reads perfbench's output: it reports evidence, and
+BENCHMARK.json's bounds still decide.
 
 Usage:
     perfbench_ab.py --parent BIN --change BIN --workload W --seed N \\
-        --pairs P [--seconds 16] [--log FILE]
+        --pairs P [--log FILE]
     perfbench_ab.py --from FILE
     perfbench_ab.py --self-test
 
@@ -100,20 +101,24 @@ def compare(parent, change, better="lower"):
     }
 
 
-def load_directions():
-    """Metric name -> "lower"/"higher" from BENCHMARK.json, if found."""
+def load_benchmark():
+    """The repository's BENCHMARK.json (an empty dict if it is missing)."""
     here = os.path.dirname(os.path.abspath(__file__))
     path = os.path.join(here, os.pardir, "BENCHMARK.json")
     try:
         with open(path) as f:
-            bench = json.load(f)
+            return json.load(f)
     except (OSError, ValueError):
         return {}
-    directions = {}
+
+
+def metric_directions(bench):
+    """Metric name -> "lower"/"higher" from the benchmark's metric lists."""
+    out = {}
     for key in ("end_to_end", "per_layer"):
         for m in bench.get(key, []):
-            directions[m["name"]] = m.get("better", "lower")
-    return directions
+            out[m["name"]] = m.get("better", "lower")
+    return out
 
 
 def parse_log(lines):
@@ -145,7 +150,7 @@ def run_once(binary, workload, seed, seconds):
     return json.loads(last)
 
 
-def run_pairs(args):
+def run_pairs(args, seconds):
     runs = {}
     log = open(args.log, "a") if args.log else None
     try:
@@ -153,7 +158,7 @@ def run_pairs(args):
             order = SIDES if pair % 2 == 1 else SIDES[::-1]
             for side in order:
                 binary = args.parent if side == "parent" else args.change
-                result = run_once(binary, args.workload, args.seed, args.seconds)
+                result = run_once(binary, args.workload, args.seed, seconds)
                 runs.setdefault(pair, {})[side] = result
                 line = f"{side} {pair} {json.dumps(result)}"
                 if log:
@@ -244,21 +249,23 @@ def main():
     ap.add_argument("--workload", help="perfbench workload")
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=16)
     ap.add_argument("--log", help="append every run as a `side pair {json}` line")
     ap.add_argument("--from", dest="from_file", help="summarize an existing log")
     ap.add_argument("--self-test", action="store_true")
     args = ap.parse_args()
     if args.self_test:
         return self_test()
+    bench = load_benchmark()
     if args.from_file:
         with open(args.from_file) as f:
             runs = parse_log(f)
     else:
         if not (args.parent and args.change and args.workload):
             ap.error("--parent, --change and --workload are required to run pairs")
-        runs = run_pairs(args)
-    return report(runs, load_directions())
+        if "run_seconds" not in bench:
+            ap.error("BENCHMARK.json with a run_seconds entry is required to run pairs")
+        runs = run_pairs(args, bench["run_seconds"])
+    return report(runs, metric_directions(bench))
 
 
 if __name__ == "__main__":

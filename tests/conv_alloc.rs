@@ -339,14 +339,12 @@ fn inference_steady_state() {
     }
 
     // Index-free eval pooling: no winners map, only the pooled output, for
-    // the row-pair 2×2 kernel below and above its parallel floor (2^19
-    // input elements) and on an odd plane, and for the 3×3 per-element
+    // the row-pair 2×2 kernel (one inline chunk: this test runs at one
+    // thread) on an even and an odd plane, and for the 3×3 per-element
     // loop.
-    let big = init::randn(&[4, 32, 64, 64], 1.0, &mut rng);
     let odd = init::randn(&[2, 8, 13, 11], 1.0, &mut rng);
     for (label, input, k) in [
-        ("maxpool2d_eval 2x2 inline", &x, 2),
-        ("maxpool2d_eval 2x2 above the parallel floor", &big, 2),
+        ("maxpool2d_eval 2x2", &x, 2),
         ("maxpool2d_eval 2x2 odd plane", &odd, 2),
         ("maxpool2d_eval 3x3", &odd, 3),
     ] {

@@ -7,15 +7,31 @@
 //! channels keep the oracle's per-element arithmetic, so they must match it
 //! bit for bit.
 
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tbnet_tensor::ops::{apply_epilogue, conv_output_size, Epilogue, PackedConv2dWeight};
 use tbnet_tensor::{init, par, Backend, BackendKind, Tensor};
 
+/// Serializes this binary's tests around the process-wide thread count:
+/// the harness runs tests on parallel threads, and one test's
+/// `set_max_threads` would otherwise change the chunking another test
+/// relies on.
+static THREADS: Mutex<()> = Mutex::new(());
+
+/// Holds the thread-count lock for the rest of the test.
+fn lock_threads() -> MutexGuard<'static, ()> {
+    THREADS.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Force multi-chunk code paths even on single-core hosts (see
-/// `backend_parity.rs`).
-fn pin_threads() {
+/// `backend_parity.rs`); the thread count holds until the returned guard
+/// drops.
+fn pin_threads() -> MutexGuard<'static, ()> {
+    let guard = lock_threads();
     par::set_max_threads(3);
+    guard
 }
 
 fn close(a: &Tensor, b: &Tensor, what: &str) {
@@ -131,7 +147,7 @@ fn check_dense_case(
 /// the flop ceiling and to panels above it; both must match the oracle.
 #[test]
 fn strided_3x3_matches_oracle() {
-    pin_threads();
+    let _threads = pin_threads();
     let mut rng = StdRng::seed_from_u64(31);
     // (c, hw, o, stride, label)
     let cases: &[(usize, usize, usize, usize, &str)] = &[
@@ -151,7 +167,7 @@ fn strided_3x3_matches_oracle() {
 /// flop ceiling and to panels above it; both must match the oracle.
 #[test]
 fn direct_5x5_matches_oracle() {
-    pin_threads();
+    let _threads = pin_threads();
     let mut rng = StdRng::seed_from_u64(51);
     // (c, hw, o, label)
     let cases: &[(usize, usize, usize, &str)] = &[
@@ -172,7 +188,7 @@ fn direct_5x5_matches_oracle() {
 /// fallback taps.
 #[test]
 fn depthwise_matches_oracle() {
-    pin_threads();
+    let _threads = pin_threads();
     let mut rng = StdRng::seed_from_u64(71);
     // (c, hw, kern, stride, pad, label)
     let cases: &[(usize, usize, usize, usize, usize, &str)] = &[
@@ -289,7 +305,7 @@ fn depthwise_matches_oracle() {
 /// epilogue, bit for bit against the oracle.
 #[test]
 fn depthwise_one_pass_edge_planes_match_oracle() {
-    pin_threads();
+    let _threads = pin_threads();
     let mut rng = StdRng::seed_from_u64(72);
     for (h, w) in [
         (1, 1),
@@ -358,13 +374,16 @@ fn depthwise_rejects_bad_shapes() {
 
 /// The 1×1 forward keeps the oracle's per-element arithmetic on both of its
 /// paths — the AVX2 register tile with its epilogue in registers (planes at
-/// least 8 wide) and the portable GEMM plus sweep (narrower planes) — so it
-/// matches bit for bit: every epilogue with and without a bias, channel
-/// counts that leave partial row tiles, planes narrower than 8 or not a
-/// multiple of 8 or 24, batch 1 and 3, stride 1 and 2, and 1, 2 and 4
-/// threads (so chunks start at channel offsets that are multiples of 8).
+/// least 8 wide, inputs up to 2^15 elements per sample) and the portable
+/// GEMM plus sweep (narrower planes, and larger inputs such as 91 channels
+/// at 32×32) — so it matches bit for bit: every epilogue with and without
+/// a bias, channel counts that leave partial row tiles, planes narrower
+/// than 8 or not a multiple of 8 or 24, batch 1 and 3, stride 1 and 2, and
+/// 1, 2 and 4 threads (so chunks start at channel offsets that are
+/// multiples of 8).
 #[test]
 fn pointwise_matches_oracle_bitwise() {
+    let _threads = lock_threads();
     let mut rng = StdRng::seed_from_u64(81);
     let mut case = 0usize;
     for c in [1usize, 3, 15, 24, 91] {
@@ -416,7 +435,7 @@ fn pointwise_matches_oracle_bitwise() {
             }
         }
     }
-    pin_threads();
+    par::reset_max_threads();
 }
 
 /// Random values with NaN, ±Inf and ±0.0 mixed in, so every ordering rule
@@ -443,7 +462,7 @@ fn special_values(dims: &[usize], rng: &mut StdRng) -> Tensor {
 /// per-element loop and must agree too.
 #[test]
 fn maxpool_eval_matches_oracle_bitwise() {
-    pin_threads();
+    let _threads = pin_threads();
     let mut rng = StdRng::seed_from_u64(91);
     for (dims, k) in [
         ([1usize, 3, 5, 7], 2),
@@ -480,7 +499,7 @@ fn maxpool_eval_matches_oracle_bitwise() {
 /// to the usual tolerance.
 #[test]
 fn direct_3x3_remainder_rows_match_oracle_bitwise() {
-    pin_threads();
+    let _threads = pin_threads();
     let mut rng = StdRng::seed_from_u64(101);
     for o in [1usize, 2, 3, 5, 13, 15] {
         for (c, h, w) in [(3, 32, 32), (5, 7, 9)] {
