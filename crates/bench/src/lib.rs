@@ -12,8 +12,9 @@
 //! | `cargo run -p tbnet-bench --bin fig4 --release`   | Fig. 4 (BN weight distribution) |
 //! | `cargo run -p tbnet-bench --bin all --release`    | everything, sharing trained artifacts |
 //!
-//! The Criterion benches (`cargo bench`) cover kernels, inference paths, the
-//! TEE executor and the ablations of `bin/ablations`.
+//! The `backend`, `train`, `infer`, `serve` and `zoo` binaries time the
+//! kernels, training phases, inference paths, serving runtime and model zoo,
+//! each writing a `BENCH_*.json` report that CI gates.
 //!
 //! Set `TBNET_SCALE=quick` for a fast smoke run or `TBNET_SCALE=full`
 //! (default) for the full experiment scale ([`experiments::Scale::full`]).

@@ -93,54 +93,6 @@ impl DeploymentPlan {
         })
     }
 
-    /// Builds a plan directly from architecture specs, without a trained
-    /// model. This is the planner's entry point: candidate (pruning ×
-    /// rollback) architectures can be priced analytically before any
-    /// training is spent on them — only the winning plan needs to go
-    /// through the pipeline.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::BranchMismatch`] when the branches' unit counts
-    /// disagree (they must be branch-wise aligned for the per-unit merges).
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use tbnet_core::deploy::DeploymentPlan;
-    /// use tbnet_models::vgg;
-    /// use tbnet_tee::CostModel;
-    ///
-    /// let victim = vgg::vgg_tiny(10, 3, (16, 16));
-    /// let mut mt = victim.clone();
-    /// for u in &mut mt.units {
-    ///     u.out_channels = (u.out_channels / 2).max(1);
-    /// }
-    /// let plan = DeploymentPlan::from_specs(victim.clone(), mt, victim).unwrap();
-    /// let lat = plan.latency(&CostModel::raspberry_pi3()).unwrap();
-    /// assert!(lat.reduction_factor() > 1.0); // pruned M_T beats the baseline
-    /// ```
-    pub fn from_specs(
-        victim_spec: ModelSpec,
-        mt_spec: ModelSpec,
-        mr_spec: ModelSpec,
-    ) -> Result<Self> {
-        if mt_spec.units.len() != mr_spec.units.len() {
-            return Err(CoreError::BranchMismatch {
-                reason: format!(
-                    "branch unit counts disagree: M_T has {}, M_R has {}",
-                    mt_spec.units.len(),
-                    mr_spec.units.len()
-                ),
-            });
-        }
-        Ok(DeploymentPlan {
-            victim_spec,
-            mt_spec,
-            mr_spec,
-        })
-    }
-
     /// Prices both deployments' inference latency (Table 3).
     ///
     /// # Errors

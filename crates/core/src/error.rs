@@ -47,14 +47,6 @@ pub enum CoreError {
         /// Description of the constraint.
         reason: String,
     },
-    /// The planner exhausted its search space without finding a candidate
-    /// that satisfies the SLO.
-    NoFeasiblePlan {
-        /// Number of candidate plans explored.
-        explored: usize,
-        /// Why the tightest candidates still failed.
-        reason: String,
-    },
 }
 
 impl fmt::Display for CoreError {
@@ -74,9 +66,6 @@ impl fmt::Display for CoreError {
             CoreError::PersistError { reason } => write!(f, "persistence failed: {reason}"),
             CoreError::InvalidConfig { field, reason } => {
                 write!(f, "invalid pipeline config `{field}`: {reason}")
-            }
-            CoreError::NoFeasiblePlan { explored, reason } => {
-                write!(f, "no feasible plan in {explored} candidates: {reason}")
             }
         }
     }

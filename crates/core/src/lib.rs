@@ -29,10 +29,7 @@
 //!    inference over the type-enforced one-way channel);
 //! 7. [`serve`] — the fault-tolerant concurrent serving runtime around that
 //!    split: deadlines, dynamic batching, backpressure, nemesis-driven TEE
-//!    fault injection and graceful int8 degradation;
-//! 8. [`planner`] — capacity planning on top of it all: a deployment
-//!    auto-optimizer searching (pruning × rollback × batch) against an SLO,
-//!    with the simulator it prices against validated by live serving runs.
+//!    fault injection and graceful int8 degradation.
 //!
 //! [`pipeline::run_pipeline`] chains all six steps and is what the benchmark
 //! harness calls to regenerate every table and figure of the paper.
@@ -60,7 +57,6 @@ pub mod deploy;
 pub mod dp_train;
 pub mod persist;
 pub mod pipeline;
-pub mod planner;
 pub mod pruning;
 pub mod serve;
 pub mod train;

@@ -223,7 +223,7 @@ pub fn load_json<T: for<'de> Deserialize<'de>, P: AsRef<Path>>(path: P) -> Resul
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
     use tbnet_models::vgg;
     use tbnet_nn::{Layer, Mode};
     use tbnet_tensor::init;
@@ -358,6 +358,54 @@ mod tests {
         let r = tampered_load(&state, "intact.json", str::to_string).unwrap();
         assert_eq!(r, state);
         assert!(r.restore().is_ok());
+    }
+
+    /// Seeded random corruptions of a finalized two-branch checkpoint (its
+    /// merges select `M_R` channels), each either cut short at a random
+    /// offset or with one byte replaced by a JSON-significant character,
+    /// are an error at decode or restore time, or restore a model whose
+    /// inference returns without panicking.
+    #[test]
+    fn random_checkpoint_corruption_never_panics() {
+        const ALPHABET: &[u8] = b"0123456789-.,:\"[]{}en";
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut tb = TwoBranchModel::from_victim(&trained_net(), &mut rng).unwrap();
+        let (mr, book) = (tb.mr().clone(), tb.mr_book().clone());
+        let masks: Vec<Vec<bool>> = tb
+            .mt()
+            .units()
+            .iter()
+            .map(|u| (0..u.out_channels()).map(|c| c % 3 != 1).collect())
+            .collect();
+        crate::pruning::prune_two_branch_once(&mut tb, &masks).unwrap();
+        tb.finalize_with_rollback(mr, book).unwrap();
+        assert!(tb.align().iter().all(Option::is_some));
+        let text = serde_json::to_string(&TwoBranchState::capture(&tb)).unwrap();
+        assert!(text.is_ascii());
+        let x = init::randn(&[1, 3, 8, 8], 1.0, &mut rng);
+        let (mut rejected, mut restored) = (0usize, 0usize);
+        for case in 0..2000 {
+            let mut bytes = text.clone().into_bytes();
+            if case % 2 == 0 {
+                bytes.truncate(rng.gen_range(0..bytes.len()));
+            } else {
+                let at = rng.gen_range(0..bytes.len());
+                bytes[at] = ALPHABET[rng.gen_range(0..ALPHABET.len())];
+            }
+            let corrupted = String::from_utf8(bytes).unwrap();
+            match serde_json::from_str::<TwoBranchState>(&corrupted).map(|s| s.restore()) {
+                Ok(Ok(mut model)) => {
+                    restored += 1;
+                    let _ = model.predict(&x);
+                    let _ = model.predict_fused(&x);
+                }
+                _ => rejected += 1,
+            }
+        }
+        assert!(
+            rejected > 0 && restored > 0,
+            "{rejected} rejected, {restored} restored"
+        );
     }
 
     #[test]

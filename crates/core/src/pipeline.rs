@@ -87,24 +87,6 @@ impl PipelineConfig {
         cfg.prune.ratio = 0.15;
         cfg
     }
-
-    /// Specializes this configuration to realize a planner-chosen candidate
-    /// ([`crate::planner::optimize_deployment`]): the pruning ratio and
-    /// iteration cap are taken from the plan, so a full accuracy-validated
-    /// run of [`run_pipeline`] prunes toward the architecture the analytic
-    /// search priced.
-    ///
-    /// The rollback point is not a free knob here: the pipeline's step-⑥
-    /// policy always reverts `M_R` by exactly one *kept* iteration, i.e. it
-    /// realizes `rollback == prune_iters - 1`. Candidates with a different
-    /// rollback stay analytic-only until trained by other means; the
-    /// planner's default search prices that policy point too, so there is
-    /// always a realizable near-neighbor.
-    pub fn for_plan(mut self, plan: &crate::planner::CandidatePlan) -> Self {
-        self.prune.ratio = plan.ratio;
-        self.prune.max_iterations = plan.prune_iters;
-        self
-    }
 }
 
 /// Everything the pipeline produces.

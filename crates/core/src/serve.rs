@@ -374,19 +374,8 @@ impl ServeReport {
     }
 
     /// Fits a [`CostModel`] to this run's measured per-batch stage times at
-    /// its mean batch size — the host-calibration step of capacity planning:
-    /// a short live run on the target host turns into the cost model the
-    /// planner ([`crate::planner`]) prices every candidate against.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::InvalidConfig`] when no healthy batch completed (there
-    /// is nothing to calibrate from), plus spec/cost validation errors.
-    pub fn calibrated_cost_model(
-        &self,
-        mt_spec: &ModelSpec,
-        mr_spec: &ModelSpec,
-    ) -> Result<CostModel> {
+    /// its mean batch size.
+    fn calibrated_cost_model(&self, mt_spec: &ModelSpec, mr_spec: &ModelSpec) -> Result<CostModel> {
         if self.metrics.batches == 0 {
             return Err(CoreError::InvalidConfig {
                 field: "calibrated_cost_model",

@@ -1,7 +1,8 @@
 //! Deterministic seeded fault-injection tests for the serving runtime:
 //! bounded monotone-backoff retries, exactly-once terminal outcomes under
-//! a mixed fault schedule with a mid-run consumer crash, and bitwise
-//! equivalence of the graceful-degradation path with `predict_int8`.
+//! a mixed fault schedule with a mid-run consumer crash, bitwise answers
+//! under random payload corruption, and bitwise equivalence of the
+//! graceful-degradation path with `predict_int8`.
 
 mod common;
 
@@ -114,6 +115,68 @@ fn mixed_fault_schedule_with_consumer_crash_loses_no_request() {
     assert!(report.metrics.requeues >= 1);
 }
 
+/// Asserts `logits` equals `expect` bit for bit.
+fn assert_bitwise(logits: &[f32], expect: &[f32], what: &str) {
+    assert_eq!(logits.len(), expect.len(), "{what}");
+    for (k, (a, b)) in logits.iter().zip(expect).enumerate() {
+        assert_eq!(a.to_bits(), b.to_bits(), "{what} logit {k}: {a} vs {b}");
+    }
+}
+
+#[test]
+fn random_payload_corruption_is_caught_and_answers_stay_bitwise() {
+    let (artifacts, _) = common::fixture();
+    let mut reference = artifacts.model.clone();
+    for seed in 1..=3 {
+        // Keep the TEE trusted throughout: a request leaves the healthy
+        // path only when its requeue budget runs out.
+        let cfg = ServeConfig {
+            unhealthy_after: 1000,
+            ..ServeConfig::fast_test()
+        };
+        let plan = FaultPlan::seeded(seed).with_corruption_rate(0.25);
+        let engine = ServeEngine::start(&artifacts.model, cfg, plan).unwrap();
+        let ids: Vec<u64> = (0..24)
+            .map(|i| engine.submit(&common::test_image(i)).unwrap())
+            .collect();
+        let report = engine.shutdown();
+
+        assert_eq!(report.counts.admitted, 24, "seed {seed}");
+        assert_eq!(report.completions.len(), 24, "seed {seed}");
+        let completed: HashSet<u64> = report.completions.iter().map(|c| c.id).collect();
+        assert_eq!(completed, ids.iter().copied().collect(), "seed {seed}");
+        // A corrupted payload queued behind an earlier failure in its batch
+        // is dropped unchecked, so detections can fall short of injections.
+        let (injected, detected) = (
+            report.faults.corrupted_payloads,
+            report.metrics.corruption_detected,
+        );
+        assert!(
+            1 <= detected && detected <= injected,
+            "seed {seed}: {detected} detected of {injected} corrupted"
+        );
+
+        // A single flipped mantissa bit would hide inside a tolerance, so
+        // every answer is compared bit for bit with its reference path.
+        for (i, id) in ids.iter().enumerate() {
+            let c = report.completions.iter().find(|c| c.id == *id).unwrap();
+            let image = common::test_image(i);
+            let what = format!("seed {seed} request {i}");
+            match &c.outcome {
+                Outcome::Answered { logits, .. } => {
+                    let expect = reference.predict_fused(&image).unwrap();
+                    assert_bitwise(logits, expect.as_slice(), &what);
+                }
+                Outcome::Degraded { logits, .. } => {
+                    let expect = reference.predict_int8(&image).unwrap();
+                    assert_bitwise(logits, expect.as_slice(), &what);
+                }
+                other => panic!("{what}: expected an answer, got {other:?}"),
+            }
+        }
+    }
+}
+
 #[test]
 fn isolated_switch_failures_do_not_trip_the_breaker() {
     // `unhealthy_after` counts consecutive failures. Switch 0 is the
@@ -183,16 +246,9 @@ fn unhealthy_tee_degrades_bitwise_to_predict_int8() {
             panic!("request {i}: expected Degraded, got {:?}", c.outcome);
         };
         let expect = reference.predict_int8(&common::test_image(i)).unwrap();
-        assert_eq!(logits.len(), expect.numel());
         // Bitwise: the fallback is the same per-sample int8 path, batch of
         // one, same weights — not merely approximately equal.
-        for (k, (a, b)) in logits.iter().zip(expect.as_slice()).enumerate() {
-            assert_eq!(
-                a.to_bits(),
-                b.to_bits(),
-                "request {i} logit {k}: {a} vs {b}"
-            );
-        }
+        assert_bitwise(logits, expect.as_slice(), &format!("request {i}"));
         let top_served = logits
             .iter()
             .enumerate()

@@ -78,40 +78,6 @@ impl CostModel {
         Ok(())
     }
 
-    /// The same device viewed at batch granularity: every per-sample work
-    /// rate is divided by `batch` so that simulating a *per-sample*
-    /// [`ModelSpec`] against the returned model yields the latency of one
-    /// `batch`-sample inference. The world-switch cost is left untouched —
-    /// a batch crosses the REE→TEE boundary once per payload regardless of
-    /// how many samples ride in it, which is exactly the amortization that
-    /// makes batching attractive inside a TEE.
-    ///
-    /// `batch == 0` is treated as 1.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use tbnet_tee::CostModel;
-    ///
-    /// let cost = CostModel::raspberry_pi3();
-    /// let batched = cost.for_batch(8);
-    /// // Eight samples' worth of MACs take 8x longer...
-    /// assert_eq!(batched.tee_compute_s(1_000), 8.0 * cost.tee_compute_s(1_000));
-    /// // ...but a world switch still costs one switch.
-    /// assert_eq!(batched.world_switch_s, cost.world_switch_s);
-    /// ```
-    pub fn for_batch(&self, batch: usize) -> Self {
-        let b = batch.max(1) as f64;
-        CostModel {
-            ree_macs_per_s: self.ree_macs_per_s / b,
-            tee_macs_per_s: self.tee_macs_per_s / b,
-            world_switch_s: self.world_switch_s,
-            channel_bytes_per_s: self.channel_bytes_per_s / b,
-            tee_elementwise_per_s: self.tee_elementwise_per_s / b,
-            secure_memory_budget: self.secure_memory_budget,
-        }
-    }
-
     /// Seconds for the rich world to execute `macs` multiply-accumulates.
     pub fn ree_compute_s(&self, macs: u64) -> f64 {
         macs as f64 / self.ree_macs_per_s
@@ -216,20 +182,5 @@ mod tests {
     #[test]
     fn default_is_pi3() {
         assert_eq!(CostModel::default(), CostModel::raspberry_pi3());
-    }
-
-    #[test]
-    fn batched_view_scales_work_but_not_switches() {
-        let cost = CostModel::raspberry_pi3();
-        let batched = cost.for_batch(4);
-        batched.validate().unwrap();
-        assert!((batched.ree_compute_s(1_000) - 4.0 * cost.ree_compute_s(1_000)).abs() < 1e-15);
-        assert!((batched.transfer_s(1_000) - 4.0 * cost.transfer_s(1_000)).abs() < 1e-12);
-        assert!((batched.merge_s(1_000) - 4.0 * cost.merge_s(1_000)).abs() < 1e-12);
-        assert_eq!(batched.world_switch_s, cost.world_switch_s);
-        assert_eq!(batched.secure_memory_budget, cost.secure_memory_budget);
-        // Batch 0 and 1 both mean "per sample".
-        assert_eq!(cost.for_batch(0), cost.for_batch(1));
-        assert_eq!(cost.for_batch(1), cost);
     }
 }

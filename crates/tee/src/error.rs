@@ -26,12 +26,6 @@ pub enum TeeError {
         /// Name of the offending field.
         field: &'static str,
     },
-    /// An SMC world switch aborted (transient; the caller should retry a
-    /// bounded number of times with backoff).
-    WorldSwitchFailed {
-        /// 1-based attempt number that failed.
-        attempt: u32,
-    },
 }
 
 impl fmt::Display for TeeError {
@@ -48,9 +42,6 @@ impl fmt::Display for TeeError {
             TeeError::UnknownHandle { id } => write!(f, "unknown secure-world handle {id}"),
             TeeError::InvalidCostModel { field } => {
                 write!(f, "cost model field `{field}` must be positive")
-            }
-            TeeError::WorldSwitchFailed { attempt } => {
-                write!(f, "world switch failed (attempt {attempt})")
             }
         }
     }

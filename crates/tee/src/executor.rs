@@ -57,16 +57,6 @@ impl LatencyReport {
             1.0
         }
     }
-
-    /// Seconds the *secure world* is busy for this inference: TEE compute,
-    /// merges, and world switches. Unlike `total_s` (the end-to-end critical
-    /// path, much of which the REE can hide), secure-world busy time cannot
-    /// be pipelined away across requests sharing one TEE — it is the
-    /// capacity planner's denominator when deciding how much sustained
-    /// traffic a secure world can carry.
-    pub fn secure_occupancy_s(&self) -> f64 {
-        self.tee_compute_s + self.merge_s + self.switch_s
-    }
 }
 
 /// Per-stage wall-clock totals measured by the *real* concurrent pipeline
@@ -284,42 +274,6 @@ pub fn simulate_two_branch(
         merge_s,
         switches,
     })
-}
-
-/// Simulates one `batch`-sample TBNet inference: the per-sample specs are
-/// priced against [`CostModel::for_batch`], so compute, transfer and merge
-/// scale with the batch while each channel crossing still costs exactly one
-/// world switch. The returned report describes the whole batch — divide
-/// `total_s` by `batch` for per-request latency, or take
-/// `batch / total_s` for the batch's throughput.
-///
-/// # Errors
-///
-/// Returns cost-model or spec validation errors, or an invalid-spec error
-/// when the unit counts disagree.
-///
-/// # Examples
-///
-/// ```
-/// use tbnet_models::vgg;
-/// use tbnet_tee::{simulate_two_branch, simulate_two_branch_batched, CostModel};
-///
-/// let spec = vgg::vgg_tiny(10, 3, (16, 16));
-/// let cost = CostModel::raspberry_pi3();
-/// let one = simulate_two_branch(&spec, &spec, &cost).unwrap();
-/// let eight = simulate_two_branch_batched(&spec, &spec, &cost, 8).unwrap();
-/// // Eight samples share the per-unit world switches...
-/// assert_eq!(eight.switches, one.switches);
-/// // ...so the batch finishes in less than eight single-sample inferences.
-/// assert!(eight.total_s < 8.0 * one.total_s);
-/// ```
-pub fn simulate_two_branch_batched(
-    mt_spec: &ModelSpec,
-    mr_spec: &ModelSpec,
-    cost: &CostModel,
-    batch: usize,
-) -> Result<LatencyReport> {
-    simulate_two_branch(mt_spec, mr_spec, &cost.for_batch(batch))
 }
 
 /// Simulates a DarkneTZ-style layer partition: units `..split` run in the
@@ -545,26 +499,6 @@ mod tests {
         let mut short = spec.clone();
         short.units.pop();
         assert!(calibrate_cost_model(&short, &spec, &measured, 1).is_err());
-    }
-
-    #[test]
-    fn batched_simulation_amortizes_switches() {
-        let victim = vgg::vgg_tiny(10, 3, (16, 16));
-        let mt = halved(&victim);
-        let cost = CostModel::raspberry_pi3();
-        let one = simulate_two_branch(&mt, &victim, &cost).unwrap();
-        let b = 8;
-        let batched = simulate_two_branch_batched(&mt, &victim, &cost, b).unwrap();
-        // Same schedule structure, same switch count.
-        assert_eq!(batched.switches, one.switches);
-        assert_eq!(batched.switch_s, one.switch_s);
-        // Work stages scale with the batch...
-        assert!((batched.tee_compute_s - b as f64 * one.tee_compute_s).abs() < 1e-9);
-        // ...so per-request latency and secure occupancy both improve.
-        assert!(batched.total_s / (b as f64) < one.total_s);
-        assert!(batched.secure_occupancy_s() / (b as f64) < one.secure_occupancy_s());
-        // Occupancy is a lower bound on the critical path's secure share.
-        assert!(batched.secure_occupancy_s() < batched.total_s);
     }
 
     #[test]

@@ -51,7 +51,7 @@ pub use cost::CostModel;
 pub use error::TeeError;
 pub use executor::{
     calibrate_cost_model, simulate_baseline, simulate_partition, simulate_two_branch,
-    simulate_two_branch_batched, LatencyReport, MeasuredStages,
+    LatencyReport, MeasuredStages,
 };
 pub use fault::{checksum_f32, corrupt_f32, ConsumerFault, FaultCounts, FaultKind, FaultPlan};
 pub use memory::{MemoryLedger, MemoryReport};

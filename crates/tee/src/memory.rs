@@ -133,30 +133,6 @@ impl MemoryReport {
             merge_buffer_bytes: peak * BYTES_PER_ELEM,
         })
     }
-
-    /// Footprint of the TBNet deployment at batch granularity: weights are
-    /// shared across the batch, but the working activations and the merge
-    /// staging buffer hold `batch` samples at once. This is the memory side
-    /// of the batching trade-off the capacity planner searches: a larger
-    /// batch amortizes world switches (see
-    /// [`CostModel::for_batch`](crate::CostModel::for_batch)) at the price
-    /// of a linearly larger secure working set.
-    ///
-    /// `batch == 0` is treated as 1 (identical to
-    /// [`MemoryReport::for_secure_branch`]).
-    ///
-    /// # Errors
-    ///
-    /// Propagates spec validation errors.
-    pub fn for_secure_branch_batched(mt_spec: &ModelSpec, batch: usize) -> Result<Self> {
-        let per_sample = MemoryReport::for_secure_branch(mt_spec)?;
-        let b = batch.max(1);
-        Ok(MemoryReport {
-            weight_bytes: per_sample.weight_bytes,
-            activation_bytes: per_sample.activation_bytes * b,
-            merge_buffer_bytes: per_sample.merge_buffer_bytes * b,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -228,20 +204,5 @@ mod tests {
         let rf = MemoryReport::for_secure_branch(&full).unwrap();
         let rp = MemoryReport::for_secure_branch(&pruned).unwrap();
         assert!(rp.total() < rf.total());
-    }
-
-    #[test]
-    fn batched_deployment_scales_working_set_not_weights() {
-        let spec = vgg::vgg_tiny(10, 3, (16, 16));
-        let one = MemoryReport::for_secure_branch(&spec).unwrap();
-        let four = MemoryReport::for_secure_branch_batched(&spec, 4).unwrap();
-        assert_eq!(four.weight_bytes, one.weight_bytes);
-        assert_eq!(four.activation_bytes, 4 * one.activation_bytes);
-        assert_eq!(four.merge_buffer_bytes, 4 * one.merge_buffer_bytes);
-        // Batch 1 is exactly the unbatched deployment.
-        assert_eq!(
-            MemoryReport::for_secure_branch_batched(&spec, 1).unwrap(),
-            one
-        );
     }
 }

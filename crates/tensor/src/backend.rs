@@ -37,11 +37,11 @@ pub trait Backend: fmt::Debug + Send + Sync {
     /// Short human-readable backend name (used in bench reports).
     fn name(&self) -> &'static str;
 
-    /// Matrix product `a @ b`; see [`ops::matmul`].
+    /// Matrix product `a @ b`; see [`ops::matmul()`].
     ///
     /// # Errors
     ///
-    /// Rank/dimension errors as documented on [`ops::matmul`].
+    /// Rank/dimension errors as documented on [`ops::matmul()`].
     fn matmul(&self, a: &Tensor, b: &Tensor) -> Result<Tensor> {
         ops::matmul::matmul_naive(a, b)
     }

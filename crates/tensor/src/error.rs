@@ -49,13 +49,6 @@ pub enum TensorError {
         /// Human-readable description of the inconsistency.
         reason: String,
     },
-    /// An axis index was out of range for the tensor rank.
-    AxisOutOfRange {
-        /// The requested axis.
-        axis: usize,
-        /// The tensor rank.
-        rank: usize,
-    },
     /// A parameter (stride, kernel size, …) must be non-zero.
     ZeroSizedParameter {
         /// Name of the offending parameter.
@@ -84,9 +77,6 @@ impl fmt::Display for TensorError {
             ),
             TensorError::InvalidGeometry { reason } => {
                 write!(f, "invalid convolution/pooling geometry: {reason}")
-            }
-            TensorError::AxisOutOfRange { axis, rank } => {
-                write!(f, "axis {axis} out of range for rank-{rank} tensor")
             }
             TensorError::ZeroSizedParameter { name } => {
                 write!(f, "parameter `{name}` must be non-zero")

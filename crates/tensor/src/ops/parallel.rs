@@ -1289,7 +1289,7 @@ fn direct5x5_rows(
 const MAX_TILE_INPUT: usize = 1 << 15;
 
 /// Per-segment epilogue operand: the same variants as
-/// [`Epilogue`](crate::ops::conv::Epilogue), with the fused-add tensor
+/// [`Epilogue`], with the fused-add tensor
 /// already narrowed to the slice aligned with the `[rows, OH*OW]` output
 /// span being computed.
 #[derive(Clone, Copy)]

@@ -264,11 +264,11 @@ impl Tensor {
     }
 
     /// Matrix product `self @ other` (convenience wrapper around
-    /// [`crate::ops::matmul`]).
+    /// [`crate::ops::matmul()`]).
     ///
     /// # Errors
     ///
-    /// See [`crate::ops::matmul`].
+    /// See [`crate::ops::matmul()`].
     pub fn matmul(&self, other: &Tensor) -> Result<Tensor, TensorError> {
         crate::ops::matmul(self, other)
     }

@@ -23,6 +23,11 @@ parallelizable rows — there the non-parallel rows look calibrated-slow but
 their raw ratio stays near 1.0. A real regression recorded on comparable
 hardware trips both.
 
+Most rows are times, so larger is worse. The zoo's accuracy, pruning,
+memory-reduction, speedup and agreement rows are larger-is-better; their
+ratio is taken as baseline/current so that it too reads as a slowdown, and
+such a row fails outright when its current value is no longer positive.
+
 Rows present in the baseline but missing from the current report fail too
 (a silent coverage regression); new rows are reported but allowed.
 
@@ -38,6 +43,26 @@ import argparse
 import json
 import statistics
 import sys
+
+
+# Zoo metrics where a larger value is the better outcome. Every other row
+# (wall-clock times, the direct-use attack accuracy) is lower-is-better.
+HIGHER_IS_BETTER_ZOO = frozenset(
+    {
+        "victim_acc",
+        "tbnet_acc",
+        "acc_delta",
+        "prune_param_ratio",
+        "tee_mem_reduction",
+        "fused_speedup",
+        "int8_top1_agreement",
+    }
+)
+
+
+def higher_is_better(key: str) -> bool:
+    """Whether a larger value of row `key` is an improvement."""
+    return key.startswith("zoo|") and key.rsplit("|", 1)[-1] in HIGHER_IS_BETTER_ZOO
 
 
 def load_rows(path: str) -> dict[str, float]:
@@ -66,18 +91,12 @@ def load_rows(path: str) -> dict[str, float]:
             # serving-runtime report: gate each scenario's latency percentiles.
             key = f'serve|{row["scenario"]}|{row["metric"]}'
             rows[key] = float(row["value_ms"])
-        elif "plan" in row:
-            # capacity-planner report: gate the analytic cost-like metrics
-            # (occupancy, latency, footprint). These are priced against a
-            # fixed cost profile, so they are machine-exact; any drift is a
-            # planner/cost-model change, not noise.
-            key = f'plan|{row["plan"]}|{row["metric"]}'
-            rows[key] = float(row["value"])
         elif "arch" in row:
             # model-zoo report: gate every architecture/metric cell. Accuracy,
             # attack, prune-ratio and memory rows are seed-deterministic
             # (single-worker training); latency rows ride the same median
-            # calibration as every other wall-clock metric.
+            # calibration as every other wall-clock metric. The metrics in
+            # HIGHER_IS_BETTER_ZOO are gated in the opposite direction.
             key = f'zoo|{row["arch"]}|{row["metric"]}'
             rows[key] = float(row["value"])
     if not rows:
@@ -140,7 +159,20 @@ def main() -> int:
         print("error: baseline and current reports share no rows", file=sys.stderr)
         return 2
 
-    ratios = {k: cur[k] / base[k] for k in shared if base[k] > 0.0}
+    # Each ratio reads as a slowdown: above 1.0 is worse, whichever way the
+    # row points. A higher-is-better row that is no longer positive cannot
+    # be inverted and fails outright.
+    ratios = {}
+    collapsed = []
+    for k in shared:
+        if base[k] <= 0.0:
+            continue
+        if not higher_is_better(k):
+            ratios[k] = cur[k] / base[k]
+        elif cur[k] > 0.0:
+            ratios[k] = base[k] / cur[k]
+        else:
+            collapsed.append(k)
     calibration = statistics.median(ratios.values())
     print(
         f"gate: {len(shared)} shared rows, run calibration ×{calibration:.3f} "
@@ -148,9 +180,10 @@ def main() -> int:
     )
 
     failures = []
-    for key in shared:
-        if base[key] <= 0.0:
-            continue
+    for key in collapsed:
+        failures.append(key)
+        print(f"  {key:45} base {base[key]:10.3f}  cur {cur[key]:10.3f}  <-- REGRESSION")
+    for key in ratios:
         raw = ratios[key] - 1.0
         calibrated = ratios[key] / calibration - 1.0
         marker = ""
@@ -212,7 +245,7 @@ def main() -> int:
         print(f"FAIL: {len(missing)} baseline row(s) missing — bench coverage regressed")
     if failures:
         print(
-            f"FAIL: {len(failures)} row(s) slower than {args.threshold:.0%} "
+            f"FAIL: {len(failures)} row(s) worse than {args.threshold:.0%} "
             "both raw and calibrated"
         )
     for reason in floor_failures:

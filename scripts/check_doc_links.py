@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Dead-path check for the prose docs (ARCHITECTURE.md, README.md,
-docs/CAPACITY.md) and the doc comments of the Rust sources.
+"""Dead-path check for the prose docs (ARCHITECTURE.md, README.md) and the
+doc comments of the Rust sources.
 
 The docs anchor their explanations to concrete repo paths
 (`crates/core/src/dp_train.rs`, `tests/attack_parity.rs`, ...). A rename or
